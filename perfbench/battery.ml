@@ -55,27 +55,25 @@ end
 module LR = Rungs (Stacks.List_stack)
 module HR = Rungs (Stacks.Hash_stack)
 
-let set_target ~search ~insert ~delete =
-  { Timing.apply = (fun k a _ -> match k with 0 -> search a | 1 -> insert a | _ -> delete a) }
-
-let filled create insert fill =
-  let t = create () in
-  Array.iter (fun k -> ignore (insert t k)) fill;
-  t
-
 let list_bottom fill =
-  let d = filled Hm_direct.create Hm_direct.insert fill in
-  let f = filled HF.create HF.insert fill in
-  [ "atomic", (None, set_target ~search:(Hm_direct.search d) ~insert:(Hm_direct.insert d)
-                       ~delete:(Hm_direct.delete d));
-    "runtime", (None, set_target ~search:(HF.search f) ~insert:(HF.insert f) ~delete:(HF.delete f)) ]
+  let d = Reference.filled Hm_direct.create Hm_direct.insert fill in
+  let f = Reference.filled HF.create HF.insert fill in
+  [ "atomic",
+    (None, Reference.set_target ~search:(Hm_direct.search d) ~insert:(Hm_direct.insert d)
+             ~delete:(Hm_direct.delete d));
+    "runtime",
+    (None, Reference.set_target ~search:(HF.search f) ~insert:(HF.insert f) ~delete:(HF.delete f)) ]
 
 let hash_bottom fill =
-  let d = filled (fun () -> Hm_direct.create_table ~n_buckets:256) Hm_direct.tinsert fill in
-  let f = filled (fun () -> HF.create_table ~n_buckets:256) HF.tinsert fill in
-  [ "atomic", (None, set_target ~search:(Hm_direct.tsearch d) ~insert:(Hm_direct.tinsert d)
-                       ~delete:(Hm_direct.tdelete d));
-    "runtime", (None, set_target ~search:(HF.tsearch f) ~insert:(HF.tinsert f) ~delete:(HF.tdelete f)) ]
+  let table create = Reference.filled (fun () -> create ~n_buckets:256) in
+  let d = table Hm_direct.create_table Hm_direct.tinsert fill in
+  let f = table HF.create_table HF.tinsert fill in
+  [ "atomic",
+    (None, Reference.set_target ~search:(Hm_direct.tsearch d) ~insert:(Hm_direct.tinsert d)
+             ~delete:(Hm_direct.tdelete d));
+    "runtime",
+    (None, Reference.set_target ~search:(HF.tsearch f) ~insert:(HF.tinsert f)
+             ~delete:(HF.tdelete f)) ]
 
 let ladder o ~prefix (s : Streams.t) rungs =
   let rows =

@@ -46,21 +46,38 @@ let () =
   let out = Out.create () and checks = Out.checks () in
   Stacks.R.register_self 0;
   let roosters = Qs_real.Roosters.start ~interval_ns:Stacks.rooster_interval_ns ~n:1 in
-  let real spec run =
-    let ctx =
-      { Wl_real.out; checks; seconds = !seconds; trace = traced; setup_reps = 5; roosters }
-    in
+  let real ?(setup_reps = 15) spec run =
+    let ctx = { Wl_real.out; checks; seconds = !seconds; trace = traced; setup_reps; roosters } in
     run ctx spec ~seed:!seed
   in
-  let spec gen name_base oracle_ops = { Wl_real.gen; name_base; oracle_ops } in
-  let attempted, failed, timed =
+  let spec gen name_base oracle_ops reference nominal =
+    { Wl_real.gen; name_base; oracle_ops; reference; nominal }
+  in
+  let attempted, failed, timed, setup_raw_s =
     match !workload with
-    | "list-read" -> real (spec Workloads.gen_list Spans.base_set 20_000) LW.run
-    | "hash-write" -> real (spec Workloads.gen_hash Spans.base_set 200_000) HW.run
-    | "kv-zipf" -> real (spec Workloads.gen_kv Spans.base_kv 100_000) KW.run
+    | "list-read" ->
+      real
+        (spec Workloads.gen_list Spans.base_set 20_000 (Reference.set ~n_buckets:1) Workloads.list_nominal)
+        LW.run
+    | "hash-write" ->
+      real
+        (spec Workloads.gen_hash Spans.base_set 200_000 (Reference.set ~n_buckets:256)
+           Workloads.hash_nominal)
+        HW.run
+    | "kv-zipf" ->
+      (* a kv set-up takes ~0.6 s *)
+      real ~setup_reps:9
+        (spec Workloads.gen_kv Spans.base_kv 100_000 Reference.kv Workloads.kv_nominal)
+        KW.run
     | _ ->
       Wl_explore.run
-        { Wl_explore.out; checks; seconds = !seconds; trace = traced; setup_reps = 101 }
+        { Wl_explore.out;
+          checks;
+          seconds = !seconds;
+          trace = traced;
+          setup_reps = 201;
+          nominal = Workloads.explore_nominal;
+          roosters }
         ~seed:!seed
   in
   let attempted =
@@ -84,12 +101,12 @@ let () =
     Printf.sprintf
       "{\"revision\": %s, \"ocaml\": %s, \"flambda\": %b, \"nproc\": %d, \
        \"recommended_domain_count\": %d, \"busy_worker_domains\": %d, \"workload\": %s, \
-       \"seed\": %d, \"seconds\": %g, \"trace\": %b, \"ocamlrunparam\": %s, \"rows\": {%s}}"
+       \"seed\": %d, \"seconds\": %g, \"trace\": %b, \"ocamlrunparam\": %s, \"setup_raw_s\": %.6f, \"rows\": {%s}}"
       (js !revision) (js Sys.ocaml_version) Build_info.flambda !nproc
       (Domain.recommended_domain_count ())
       busy_workers (js !workload) !seed !seconds traced
       (js (Option.value ~default:"" (Sys.getenv_opt "OCAMLRUNPARAM")))
-      (String.concat ", " rows)
+      setup_raw_s (String.concat ", " rows)
   in
   print_endline ("manifest " ^ manifest);
   let failed = if correct then failed else attempted in

@@ -42,7 +42,33 @@ let agree_with_library () =
   run_set "atomic hash vs Hashtable" hs hfill
     (fun k a -> Stacks.Hash_stack.apply h k a 0)
     (fun k a ->
-      match k with 0 -> Hm_direct.tsearch t a | 1 -> Hm_direct.tinsert t a | _ -> Hm_direct.tdelete t a)
+      match k with 0 -> Hm_direct.tsearch t a | 1 -> Hm_direct.tinsert t a | _ -> Hm_direct.tdelete t a);
+  (* the flat reference sets of the timed rounds answer alike too (filled
+     here, so they start empty) *)
+  let flat n_buckets =
+    let r = Reference.set ~n_buckets [||] in
+    fun k a -> r.Timing.apply k a 0
+  in
+  let l3 = Stacks.L.register (Stacks.L.create cfg) ~pid:0 in
+  run_set "flat list reference vs Linked_list" ls lfill
+    (fun k a -> Stacks.List_stack.apply l3 k a 0)
+    (flat 1);
+  let h2 = Stacks.Hash_stack.register (Stacks.Hash_stack.create cfg) ~pid:0 in
+  run_set "flat hash reference vs Hashtable" hs hfill
+    (fun k a -> Stacks.Hash_stack.apply h2 k a 0)
+    (flat 256);
+  let ks, kfill = Workloads.gen_kv ~seed:5 in
+  let kv = Stacks.Kv_stack.create cfg in
+  let kc = Stacks.K.register kv ~pid:0 in
+  let kref = Reference.kv [||] in
+  let mismatch = ref 0 in
+  Array.iter (fun k -> ignore (Stacks.K.put kc k); ignore (kref.apply 1 k 0)) kfill;
+  for i = 0 to (1 lsl 16) - 1 do
+    let k = ks.kinds.(i) and a = ks.a.(i) and b = ks.b.(i) in
+    if Stacks.Kv_stack.apply kc k a b <> kref.apply k a b then incr mismatch
+  done;
+  check "flat kv reference vs Service_real.K: op-for-op agreement on 65536 seeded ops"
+    (!mismatch = 0)
 
 let percentiles () =
   let a = Array.init 100 (fun i -> i + 1) in
@@ -91,6 +117,16 @@ let zero_alloc () =
   per_op "throughput slice" (fun row -> Timing.timed_slice row s);
   per_op "latency slice" (fun row -> Timing.lat_slice row s lat);
   per_op "traced slice" (fun row -> Timing.traced_slice row s sp ~name_base:0);
+  (* the reference set, once its buckets have grown to their steady size *)
+  let fill = snd (Workloads.gen_hash ~seed:5) in
+  let reference = Reference.set ~n_buckets:256 fill in
+  let row = Timing.make_row "reference" reference in
+  row.slice <- 1 lsl 16;
+  Timing.timed_slice row s;
+  let w1 = words (fun () -> Timing.timed_slice row s) in
+  row.slice <- 1 lsl 17;
+  let w2 = words (fun () -> Timing.timed_slice row s) in
+  check (Printf.sprintf "reference set: 0 minor words per op (%g vs %g per slice)" w2 w1) (w2 = w1);
   let w = words (fun () -> for _ = 1 to 1000 do ignore (Clock.now ()) done) in
   check "Clock.now allocates nothing" (w = words (fun () -> ()))
 

@@ -46,8 +46,12 @@ module Kv_stack = struct
     | 1 -> K.put ctx a
     | 2 -> K.del ctx a
     | _ ->
+      (* a scan counts at most one key per value of its range; raising
+         breaks the row, which its final check reports *)
       let n = K.scan ctx ~lo:a ~hi:b in
-      n >= 0 && n <= b - a + 1
+      if n < 0 || n > b - a + 1 then
+        failwith (Printf.sprintf "scan [%d, %d] counted %d keys" a b n);
+      true
 end
 
 let rooster_interval_ns = Qs_harness.Real_exp.rooster_interval_ns

@@ -219,10 +219,10 @@ let rounds ~deadline ~min_rounds rows ~slice ~extra =
 let ops_per_s row = float_of_int row.timed_ops *. 1e9 /. float_of_int (max 1 row.timed_ns)
 
 (* Throughput of [row] relative to [base]: the median over rounds of the
-   ratio of their slices in the same round. The host's speed drifts in
-   phases of seconds (a pure integer loop on the reference VM swings by
-   25% within a minute); rows that ran within the same few hundred
-   milliseconds share the phase, so the per-round ratio cancels it. *)
+   ratio of their slices in the same round. The host's speed drifts (a
+   pure integer loop on the reference VM swings by 25% within a minute);
+   rows that ran within the same round share the phase, so the per-round
+   ratio cancels it. *)
 let rel row ~base =
   if List.length row.rates <> List.length base.rates then nan
   else Pctl.median_float (List.map2 (fun r b -> r /. b) row.rates base.rates)

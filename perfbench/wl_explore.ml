@@ -1,11 +1,13 @@
 (* explore-corpus: the simulator, harness and verify layers, reached
    through Qs_harness.Explorer.run_one on one domain. The committed corpus
    (a copy kept in this directory, so the inputs stay fixed while the
-   program changes) is replayed in full once per round, in an order
-   shuffled by the seed, one case per timed latency sample. Beside it,
+   program changes) is replayed cyclically, one case per step of a round,
+   in an order shuffled by the seed, one case per timed latency sample.
+   Beside it,
    seeded default cases per scheme give the per-scheme rows: simulated
    operations per wall second, and a victim-stall row that must reach
-   QSense's fallback. *)
+   QSense's fallback. The benchmark's reference list runs a slice beside
+   every step and gives each round's speed factor (reference.ml). *)
 
 module E = Qs_harness.Explorer
 module S_ = Qs_smr.Scheme
@@ -14,9 +16,14 @@ let corpus_path = ref "perfbench/explorer.corpus"
 
 (* Each round runs the next [cases_per_round] cases of a row's seeded pool
    of [pool_size], so a run covers many seeds' worth of schedules and the
-   per-seed cost of any one schedule averages out. *)
-let cases_per_round = 16
-let pool_size = 256
+   per-seed cost of any one schedule averages out. A round takes about two
+   seconds on the reference machine: the five rows' cases and the corpus
+   cases each get about half of it. *)
+let cases_per_round = 50
+let pool_size = 512
+
+(* Reference time per step. *)
+let ref_step_ns = 4e6
 
 type row = {
   name : string;
@@ -84,22 +91,35 @@ type ctx = {
   seconds : float;
   trace : bool;
   setup_reps : int;
+  nominal : float;  (** the reference's ops/s on the reference machine *)
+  roosters : Qs_real.Roosters.t;
 }
 
 let run (ctx : ctx) ~seed =
   let ck = ctx.checks and o = ctx.out in
+  let ref_stream, ref_fill = Workloads.gen_list ~seed in
+  let reference = Reference.set ~n_buckets:1 ref_fill in
+  (* probes about as long as one set-up, which takes ~1 ms *)
+  let probe = Reference.prober ~probe_s:0.002 reference ref_stream ~nominal:ctx.nominal in
+  ignore (probe ());
+  (* set-up: load the corpus, make the rows — repeated, each time scaled
+     by the mean speed factor of reference probes right before and right
+     after it *)
   let setups =
     List.init ctx.setup_reps (fun _ ->
+        let f0 = probe () in
         let t0 = Clock.now () in
         let corpus = load_corpus ~seed in
         let rows = make_rows ~seed in
-        (float_of_int (Clock.now () - t0) /. 1e9, (corpus, rows)))
+        let raw = float_of_int (Clock.now () - t0) /. 1e9 in
+        (raw *. (f0 +. probe ()) /. 2., raw, (corpus, rows)))
   in
-  let setup_s = Pctl.median_float (List.map fst setups) in
-  let corpus, rows = snd (List.nth setups (ctx.setup_reps - 1)) in
+  let setup_s = Pctl.median_float (List.map (fun (s, _, _) -> s) setups) in
+  let setup_raw_s = Pctl.median_float (List.map (fun (_, r, _) -> r) setups) in
+  let _, _, (corpus, rows) = List.nth setups (ctx.setup_reps - 1) in
   Out.check ck (Array.length corpus = 100) "corpus has %d cases, expected 100"
     (Array.length corpus);
-  let lat = Timing.lat_create 65536 and lat_none = Timing.lat_create 65536 in
+  let lat = Timing.lat_create 65536 in
   let sp = Timing.spans_create ~every:1 65536 in
   let ev = Events.create ~n_processes:4 in
   let sink = ref None and tracing = ref false in
@@ -124,7 +144,6 @@ let run (ctx : ctx) ~seed =
     row.attempted <- row.attempted + 1;
     row.stats <- r.stats :: row.stats;
     if !measuring then begin
-      if row.name = "none" then Timing.lat_add lat_none 0 dt;
       row.ops <- row.ops + r.ops;
       row.ns <- row.ns + dt;
       row.acc <- add_stats row.acc r.stats;
@@ -134,39 +153,54 @@ let run (ctx : ctx) ~seed =
       row.fresh <- row.fresh + r.report.fresh_nodes
     end
   in
-  let replayed = ref 0 in
+  let replayed = ref 0 and corpus_next = ref 0 in
+  (* corpus latency samples are tagged with the case's index *)
   let n_rows = List.length rows and n_corpus = Array.length corpus in
+  let ref_cursor = ref 0 and ref_count = ref 1024 and ref_rates = ref [] in
+  let ref_timed_ops = ref 0 and ref_timed_ns = ref 0 in
+  let ref_ok = Array.make 4 0 in
+  let ref_slice () =
+    let t0 = Clock.now () in
+    Timing.run_slice reference ref_stream ~cursor:!ref_cursor ~count:!ref_count ref_ok;
+    ref_cursor := !ref_cursor + !ref_count;
+    Clock.now () - t0
+  in
   (* One round: [cases_per_round] steps, each running one case of every
-     row (in rotating order) and the next slice of the corpus, so the rows
-     and the corpus replay spread evenly over the round and share the
-     host's speed phases. *)
+     row (in rotating order), a reference slice, and the next corpus case,
+     so the rows, the reference and the corpus replay spread evenly over
+     the round and share the host's speed phases. *)
   let round_once () =
     List.iter (fun r -> r.stats <- []) rows;
     let before = List.map (fun r -> (r.ops, r.ns)) rows in
-    let cur = ref 0 in
+    let ref_ns = ref 0 in
     for step = 0 to cases_per_round - 1 do
       for i = 0 to n_rows - 1 do
         row_case (List.nth rows ((i + step) mod n_rows))
       done;
-      while !cur < (step + 1) * n_corpus / cases_per_round do
-        let _, dt = run_case corpus.(!cur) in
-        if !measuring then Timing.lat_add lat 0 dt;
-        incr cur;
-        incr replayed
-      done
+      ref_ns := !ref_ns + ref_slice ();
+      let _, dt = run_case corpus.(!corpus_next) in
+      if !measuring then Timing.lat_add lat !corpus_next dt;
+      corpus_next := (!corpus_next + 1) mod n_corpus;
+      incr replayed
     done;
-    if !measuring then
+    let ref_rate = float_of_int (cases_per_round * !ref_count) *. 1e9 /. float_of_int (max 1 !ref_ns) in
+    if !measuring then begin
+      ref_rates := ref_rate :: !ref_rates;
+      ref_timed_ops := !ref_timed_ops + (cases_per_round * !ref_count);
+      ref_timed_ns := !ref_timed_ns + !ref_ns;
       List.iter2
         (fun r (ops0, ns0) ->
           r.rates <-
             (float_of_int (r.ops - ops0) *. 1e9 /. float_of_int (max 1 (r.ns - ns0))) :: r.rates)
         rows before
+    end
+    else ref_count := max 64 (int_of_float (ref_step_ns *. ref_rate /. 1e9))
   in
-  (* warm-up: one round *)
+  (* warm-up: one round, which also sizes the reference slices *)
   round_once ();
   Gc.compact ();
   measuring := true;
-  let gc0 = Gc.quick_stat () in
+  let gc0 = Gc.quick_stat () and wakeups0 = Qs_real.Roosters.wakeups ctx.roosters in
   let t_start = Clock.now () in
   let round ~deadline =
     ignore (Timing.rounds ~deadline ~min_rounds:3 [ () ] ~slice:round_once ~extra:ignore)
@@ -187,7 +221,7 @@ let run (ctx : ctx) ~seed =
     let traced = float_of_int (ns () - ns0) /. float_of_int (max 1 (ops () - ops0)) in
     Out.add o "obs.trace_overhead_pct" "%" (100. *. ((traced /. untraced) -. 1.))
   end;
-  let gc1 = Gc.quick_stat () in
+  let gc1 = Gc.quick_stat () and wakeups1 = Qs_real.Roosters.wakeups ctx.roosters in
   List.iter
     (fun row ->
       if row.name = "qsense_stalled" then
@@ -197,28 +231,31 @@ let run (ctx : ctx) ~seed =
     rows;
   let all_ops = List.fold_left (fun a r -> a + r.ops) 0 rows in
   if not ctx.trace then begin
-    let none = List.hd rows in
     List.iter
       (fun r ->
-        Out.add o ("rel." ^ r.name) "ratio"
-          (Pctl.median_float (List.map2 (fun a b -> a /. b) r.rates none.rates)))
-      (List.tl rows);
+        Out.add o ("ops_per_s." ^ r.name) "ops/s"
+          (ctx.nominal *. Pctl.median_float (List.map2 ( /. ) r.rates !ref_rates)))
+      rows;
     let st = List.find (fun r -> r.name = "qsense_stalled") rows in
     (* median over cases: a max would grow with the number of cases run *)
     Out.add o "peak_unreclaimed.qsense_stalled" "count"
       (Pctl.median_float (List.map float_of_int st.peaks));
-    (* corpus case replay times over the none row's mean case time: too
-       few none cases run per round for their own tail to be steady *)
-    let none_case_ns =
-      float_of_int (Array.fold_left ( + ) 0 (Array.sub lat_none.durs 0 lat_none.n))
-      /. float_of_int (max 1 lat_none.n)
-    in
-    let all = Timing.lat_sorted lat ~kind:(-1) in
-    let p bp = float_of_int (Pctl.percentile all ~n:(Array.length all) bp) /. none_case_ns in
-    Out.add o "lat.p50_rel" "ratio" (p 5000);
-    (* the tail is p90 here: ~100 corpus samples per round leave fewer
-       than ten beyond p99 *)
-    Out.add o "lat.tail_rel" "ratio" (p 9000);
+    (* corpus case replay times: each case's median over its replays in
+       the run, so every case counts once however often the run reached
+       it (a run ends part-way through a replay of the corpus), scaled by
+       the run's speed factor *)
+    let factor = Reference.factor ~nominal:ctx.nominal (Pctl.median_float !ref_rates) in
+    let per_case = Array.make n_corpus [] in
+    for i = 0 to lat.n - 1 do
+      let c = lat.lkinds.(i) in
+      per_case.(c) <- float_of_int lat.durs.(i) :: per_case.(c)
+    done;
+    let meds = Array.of_list (List.map Pctl.median_float (Array.to_list per_case)) in
+    Array.sort compare meds;
+    let p bp = Pctl.percentile meds ~n:n_corpus bp *. factor in
+    Out.add o "lat.p50_ns" "ns" (p 5000);
+    (* the tail is p90 here: 100 cases leave exactly ten beyond it *)
+    Out.add o "lat.tail_ns" "ns" (p 9000);
     Out.add o "setup_s" "s" setup_s
   end
   else begin
@@ -237,7 +274,7 @@ let run (ctx : ctx) ~seed =
             ~peak_outstanding:r.peak_outstanding)
       rows;
     Out.gc_counts o ~ops:all_ops gc0 gc1;
-    Out.addi o "real.rooster_wakeups" "count" 0;
+    Out.addi o "real.rooster_wakeups" "count" (wakeups1 - wakeups0);
     Out.add o "workload.gen_s" "s" setup_s;
     Events.report o ev;
     Spans.report o sp
@@ -246,6 +283,6 @@ let run (ctx : ctx) ~seed =
   let corpus_ns = Array.fold_left ( + ) 0 (Array.sub lat.durs 0 lat.n) in
   let timed =
     List.map (fun r -> r.name, r.ops, r.ns) rows
-    @ [ "corpus_cases", lat.n, corpus_ns ]
+    @ [ "corpus_cases", lat.n, corpus_ns; "reference", !ref_timed_ops, !ref_timed_ns ]
   in
-  (attempted, !verdict_failures, timed)
+  (attempted, !verdict_failures, timed, setup_raw_s)

@@ -1,7 +1,8 @@
 (* The real-domain workloads (list-read, hash-write, kv-zipf): one busy
    worker (the main domain) replays a pre-generated stream against five
    rows — schemes none, qsbr, hp and qsense, plus qsense with a stalled
-   registered peer — interleaved slice by slice. *)
+   registered peer — and the benchmark's own reference row, interleaved
+   slice by slice. *)
 
 module S_ = Qs_smr.Scheme
 
@@ -9,12 +10,17 @@ type spec = {
   gen : seed:int -> Streams.t * int array;  (** stream, initial contents *)
   name_base : int;  (** span name id of kind 0 *)
   oracle_ops : int;  (** untimed oracle-on ops per scheme *)
+  reference : int array -> Timing.target;  (** reference stack on the fill *)
+  nominal : float;  (** the reference's ops/s on the reference machine *)
 }
 
 let rows = [ "none", S_.None_, false; "qsbr", S_.Qsbr, false; "hp", S_.Hp, false;
              "qsense", S_.Qsense, false; "qsense_stalled", S_.Qsense, true ]
 
-let slice_ns = 50e6
+(* Short slices: the host's speed moves within tens of milliseconds, and
+   the reference cancels only what its neighbouring slices share. *)
+let slice_ns = 5e6
+
 let lat_capacity = 1 lsl 20
 let span_every = 16
 
@@ -178,75 +184,85 @@ module Make (S : Stacks.STACK) = struct
     Out.gc_counts o ~ops:!total_ops a.gc b.gc;
     Out.addi o "real.rooster_wakeups" "count" (b.wakeups - a.wakeups)
 
-  (* Per-op latency percentiles of the qsense row over those of the none
-     row, both timed the same way in the same rounds (so the host's speed
-     and the clock's own cost cancel). *)
-  let latency_metrics o ~qsense ~none =
-    let p lat bp =
-      let all = Timing.lat_sorted lat ~kind:(-1) in
-      let n = Array.length all in
-      if n = 0 then nan else float_of_int (Pctl.percentile all ~n bp)
-    in
-    Out.add o "lat.p50_rel" "ratio" (p qsense 5000 /. p none 5000);
-    Out.add o "lat.tail_rel" "ratio" (p qsense 9900 /. p none 9900)
+  (* Per-op latency percentiles of the qsense row, scaled by the run's
+     speed factor: the median over rounds of the reference's. (Scaling
+     each sample by its own round's factor would add that factor's
+     round-to-round noise to every sample and widen the tail.) *)
+  let latency_metrics o (lat : Timing.lat) ~factor =
+    let all = Timing.lat_sorted lat ~kind:(-1) in
+    let n = Array.length all in
+    let p bp = if n = 0 then nan else float_of_int (Pctl.percentile all ~n bp) *. factor in
+    Out.add o "lat.p50_ns" "ns" (p 5000);
+    Out.add o "lat.tail_ns" "ns" (p 9900)
 
   let run ctx spec ~seed =
-    (* set-up: stream generation, create, register, fill — repeated, the
-       median reported, the last one kept *)
-    let totals = ref [] and gens = ref [] and last = ref None in
+    (* set-up: stream generation, create, register, fill — repeated from
+       a compacted heap, each time scaled by the mean speed factor of
+       reference probes right before and right after it, the median
+       reported, the last one kept *)
+    let probe =
+      let s, fill = spec.gen ~seed in
+      Reference.prober (spec.reference fill) s ~nominal:spec.nominal
+    in
+    ignore (probe ());
+    let totals = ref [] and raws = ref [] and gens = ref [] and last = ref None in
     for _ = 1 to ctx.setup_reps do
       last := None;
+      Gc.compact ();
+      let f0 = probe () in
       let t0 = Clock.now () in
       let s, fill = spec.gen ~seed in
       let t1 = Clock.now () in
       let insts = List.map (build ~oracle:false ~fill) rows in
       let t2 = Clock.now () in
-      totals := (float_of_int (t2 - t0) /. 1e9) :: !totals;
-      gens := (float_of_int (t1 - t0) /. 1e9) :: !gens;
+      let f = (f0 +. probe ()) /. 2. in
+      let raw = float_of_int (t2 - t0) /. 1e9 in
+      totals := (raw *. f) :: !totals;
+      raws := raw :: !raws;
+      gens := (float_of_int (t1 - t0) *. f /. 1e9) :: !gens;
       last := Some (s, fill, insts)
     done;
     let setup_s = Pctl.median_float !totals and gen_s = Pctl.median_float !gens in
     let s, fill, insts = Option.get !last in
+    let reference = Timing.make_row "reference" (spec.reference fill) in
     (* start every run from the same compacted heap *)
     Gc.compact ();
     List.iter (start_peer s) insts;
+    Timing.warm_up reference s ~settled:(fun () -> false) ~max_s:0.5 ~slice_ns;
     List.iter
       (fun i ->
         (* the stalled row must fill its limbo lists past C first *)
         let max_s = if i.peer_c = None then 1.0 else 3.0 in
         Timing.warm_up i.row s ~settled:(settled i) ~max_s ~slice_ns)
       insts;
-    let q = List.find (fun i -> i.name = "qsense") insts and nn = List.hd insts in
-    let lat_q = Timing.lat_create lat_capacity and lat_n = Timing.lat_create lat_capacity in
+    let q = List.find (fun i -> i.name = "qsense") insts in
+    let lat_q = Timing.lat_create lat_capacity in
     (* latency slices sized so the samples of every round fit *)
     let rounds_est =
       1 + int_of_float (ctx.seconds *. 1e9 /. (float_of_int (List.length insts + 2) *. slice_ns))
     in
-    let lat_slice i lat =
-      let n = i.row.slice in
-      i.row.slice <- max 16 (min n (lat_capacity / rounds_est));
-      Timing.lat_slice i.row s lat;
-      i.row.slice <- n
-    in
     let lat_extra () =
-      lat_slice nn lat_n;
-      lat_slice q lat_q
+      let n = q.row.slice in
+      q.row.slice <- max 16 (min n (lat_capacity / rounds_est));
+      Timing.lat_slice q.row s lat_q;
+      q.row.slice <- n
     in
     let a = snap ctx insts in
     let t_start = Clock.now () in
     let row_list = List.map (fun i -> i.row) insts in
+    let rounds_rows = reference :: row_list in
     let o = ctx.out in
     if not ctx.trace then
       ignore
         (Timing.rounds
            ~deadline:(t_start + int_of_float (ctx.seconds *. 1e9))
-           ~min_rounds:3 row_list
+           ~min_rounds:3 rounds_rows
            ~slice:(fun r -> Timing.timed_slice r s)
            ~extra:lat_extra)
     else begin
       let half = t_start + int_of_float (ctx.seconds *. 0.5e9) in
       ignore
-        (Timing.rounds ~deadline:half ~min_rounds:3 row_list
+        (Timing.rounds ~deadline:half ~min_rounds:3 rounds_rows
            ~slice:(fun r -> Timing.timed_slice r s)
            ~extra:ignore);
       let untraced = List.map (fun r -> 1e9 /. Timing.ops_per_s r) row_list in
@@ -262,8 +278,10 @@ module Make (S : Stacks.STACK) = struct
       ignore
         (Timing.rounds
            ~deadline:(half + int_of_float (ctx.seconds *. 0.5e9))
-           ~min_rounds:3 row_list
-           ~slice:(fun r -> Timing.traced_slice r s sp ~name_base:spec.name_base)
+           ~min_rounds:3 rounds_rows
+           ~slice:(fun r ->
+             if r == reference then Timing.timed_slice r s
+             else Timing.traced_slice r s sp ~name_base:spec.name_base)
            ~extra:ignore);
       Stacks.R.set_sink None;
       let traced = List.map (fun r -> 1e9 /. Timing.ops_per_s r) row_list in
@@ -281,16 +299,21 @@ module Make (S : Stacks.STACK) = struct
       Out.add o "workload.gen_s" "s" gen_s
     end
     else begin
-      let none = (List.hd insts).row in
       List.iter
-        (fun i -> Out.add o ("rel." ^ i.name) "ratio" (Timing.rel i.row ~base:none))
-        (List.tl insts);
+        (fun i ->
+          Out.add o ("ops_per_s." ^ i.name) "ops/s"
+            (spec.nominal *. Timing.rel i.row ~base:reference))
+        insts;
       let st = List.find (fun i -> i.peer_c <> None) insts in
       Out.addi o "peak_unreclaimed.qsense_stalled" "count" (S.report st.t).smr.retired_peak;
-      latency_metrics o ~qsense:lat_q ~none:lat_n;
+      latency_metrics o lat_q
+        ~factor:(Reference.factor ~nominal:spec.nominal (Pctl.median_float reference.rates));
       Out.add o "setup_s" "s" setup_s
     end;
     let attempted = List.fold_left (fun acc i -> acc + i.row.attempted) oracle_attempted insts in
     let failed = List.fold_left (fun acc i -> acc + i.row.failed) 0 insts in
-    (attempted, failed, List.map (fun i -> i.name, i.row.timed_ops, i.row.timed_ns) insts)
+    ( attempted,
+      failed,
+      List.map (fun (r : Timing.row) -> r.name, r.timed_ops, r.timed_ns) rounds_rows,
+      Pctl.median_float !raws )
 end

@@ -19,6 +19,18 @@ let kv_spec =
 let gen_set shape ~seed =
   (Streams.gen_set ~seed ~log_len shape, Streams.set_fill ~seed shape)
 
+(* The reference stacks' (reference.ml) throughput on each stream on the
+   2-vCPU KVM reference machine, rounded: the nominal speed every time
+   metric is scaled to. Only a scale; the factor's changes are what
+   cancel the host's drift. *)
+let list_nominal = 3.8e6
+let hash_nominal = 14.5e6
+let kv_nominal = 12.5e6
+
+(* The list reference between simulated cases on explore-corpus, where it
+   runs in short slices beside the simulator. *)
+let explore_nominal = 4.6e6
+
 let gen_list = gen_set list_shape
 let gen_hash = gen_set hash_shape
 
