@@ -26,7 +26,7 @@
      surrounding simulated-memory effects.
    - {b real-runtime correctness}: [Stdlib.Atomic] is sequentially
      consistent, so the donate/take pair is a release/acquire edge: the
-     donor's plain writes into the limbo vectors happen-before the
+     donor's plain writes into the limbo lists happen-before the
      adopter's reads.
 
    Every entry counts its nodes so [retired_count] can include orphaned

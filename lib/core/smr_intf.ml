@@ -22,7 +22,7 @@ module type NODE = sig
       lifetime (across arena reuse too — it identifies the {e object}, not
       the allocation). Used by the hazard-pointer membership set
       ({!Hp_array}) in place of physical-equality list scans: a snapshot
-      becomes a sorted [int] array with O(log N·K) membership and zero
+      becomes an [int] hash set with expected-O(1) membership and zero
       per-scan allocation. Collisions are {e safe} — a node sharing an id
       with a protected node is merely kept one scan longer — but hurt
       reclamation latency, so ids should be unique in practice (the data
@@ -40,9 +40,7 @@ type config = {
       (** R — retires between hazard-pointer scans. Scans cannot be
           disabled through this knob: the effective threshold is clamped to
           [>= 1] ({!effective_scan_threshold}), so [scan_threshold <= 0]
-          simply means "scan on every retire". (Earlier docs claimed
-          [<= 0] disables scanning — it never did; before the clamp it
-          crashed the schemes that schedule scans with [mod].) *)
+          simply means "scan on every retire". *)
   scan_factor : float;
       (** Adaptive scan scheduling: the {e effective} scan threshold of the
           hazard-pointer schemes is
@@ -75,17 +73,13 @@ type config = {
           process never recovers. [None] disables eviction (the paper's
           published behaviour: a crashed process pins QSense in fallback
           mode forever). *)
-  limbo_bags : bool;
-      (** Limbo-list representation: [true] (default) uses DEBRA-style
-          batched bags ({!Qs_util.Bag}) — stamp once per sealed bag,
-          oldest-bag-first walks, bulk frees; [false] keeps the
-          element-wise {!Qs_util.Vec} reference, used by the bag-vs-vec
-          differential tests and as an escape hatch. *)
   bag_capacity : int;
-      (** Nodes per limbo bag (clamped [>= 1]); only read when
-          [limbo_bags] is on. Larger bags amortise the stamp check and the
+      (** Nodes per limbo bag ({!Qs_util.Bag}; clamped [>= 1]): every
+          scheme stamps once per sealed bag, walks bags oldest-first and
+          frees them in bulk. Larger bags amortise the stamp check and the
           arena free over more nodes but delay reclamation of a bag's
-          oldest node by up to one bag-fill. *)
+          oldest node by up to one bag-fill; capacity 1 reclaims node by
+          node and is the differential tests' reference. *)
 }
 
 let default_config ~n_processes ~hp_per_process =
@@ -99,7 +93,6 @@ let default_config ~n_processes ~hp_per_process =
     switch_threshold = 0;
     removes_per_op_max = 1;
     eviction_timeout = None;
-    limbo_bags = true;
     bag_capacity = 64 }
 
 (** The effective scan threshold under adaptive scan scheduling:

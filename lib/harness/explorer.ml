@@ -33,7 +33,7 @@ type case = {
   capacity : int;  (** arena capacity; 0 = unbounded *)
   switch : int;  (** QSense C; 0 = smallest legal (Property 4) *)
   evict : int;  (** QSense eviction timeout dt (§5.2); 0 = eviction off *)
-  bags : int;  (** limbo representation: 0 = vec reference, >0 = bag capacity *)
+  bags : int;  (** limbo bag capacity (>= 1) *)
   strategy : strategy;
   faults : Scheduler.fault list;
   seed : int;
@@ -227,25 +227,29 @@ let of_string line : (case, string) result =
         Some switch,
         Some seed ) ->
       (* [bags] and [evict] are optional so older corpus/repro lines keep
-         parsing; absent means the default bag representation / no
-         eviction *)
+         parsing; absent means bags of 64 / no eviction. [bags=0] named
+         the element-wise limbo reference that capacity-1 bags replaced:
+         both reclaim node by node, so such lines replay at capacity 1. *)
       let bags = Option.value (int_field "bags") ~default:64 in
       let evict = Option.value (int_field "evict") ~default:0 in
-      Ok
-        { ds;
-          scheme;
-          n_processes;
-          key_range;
-          update_pct;
-          ops_per_proc;
-          duration;
-          capacity;
-          switch;
-          evict;
-          bags;
-          strategy;
-          faults;
-          seed }
+      if bags < 0 then
+        Error (Printf.sprintf "explorer case: negative bags in %S" line)
+      else
+        Ok
+          { ds;
+            scheme;
+            n_processes;
+            key_range;
+            update_pct;
+            ops_per_proc;
+            duration;
+            capacity;
+            switch;
+            evict;
+            bags = max 1 bags;
+            strategy;
+            faults;
+            seed }
     | _ -> Error (Printf.sprintf "explorer case: bad numeric field in %S" line))
   | _ -> Error (Printf.sprintf "explorer case: bad ds/scheme/strat/faults in %S" line)
 
@@ -367,8 +371,7 @@ let run_one ?sink (c : case) : outcome =
       epsilon = (if needs_roosters then epsilon else 0);
       switch_threshold = c.switch;
       eviction_timeout = (if c.evict > 0 then Some c.evict else None);
-      limbo_bags = c.bags > 0;
-      bag_capacity = (if c.bags > 0 then c.bags else 64) }
+      bag_capacity = c.bags }
   in
   let set_cfg =
     { Qs_ds.Set_intf.scheme = c.scheme;

@@ -49,10 +49,10 @@ type case = {
           an optional [evict=] field (absent = 0), so pre-eviction case
           lines keep parsing. *)
   bags : int;
-      (** limbo-list representation: [0] = the {!Qs_util.Vec} reference,
-          [> 0] = {!Qs_util.Bag} with that block capacity. Serialized as an
-          optional [bags=] field (absent = 64) so pre-bag case lines keep
-          parsing. *)
+      (** {!Qs_util.Bag} block capacity of every limbo list. Serialized as
+          an optional [bags=] field (absent = 64) so pre-bag case lines keep
+          parsing; [bags=0] parses as capacity 1 and a negative value is an
+          error. *)
   strategy : strategy;
   faults : Scheduler.fault list;
   seed : int;

@@ -3,8 +3,9 @@
     fills; reclamation walks sealed bags oldest-first and frees a whole
     bag's nodes in one bulk call, stopping at the first bag that is still
     unreclaimable. Emptied blocks return to a per-process cache, so
-    steady-state retire/scan is allocation-free. Single-owner, like {!Vec};
-    donation moves sealed chains intact via {!splice_into}. *)
+    steady-state retire/scan is allocation-free. Single-owner; donation
+    moves sealed chains intact via {!splice_into}. QSBR, EBR, DEBRA+, HP,
+    Cadence and QSense all keep their limbo lists here. *)
 
 type 'a source
 (** Per-process block factory + recycling cache, shared by all of one
@@ -50,6 +51,15 @@ val splice_into : src:'a t -> dst:'a t -> unit
     non-empty) and the sealed chain is spliced onto [dst]'s tail by pure
     pointer surgery — bags travel intact, O(1) in the number of nodes.
     [src] is left empty but alive. *)
+
+(** Three epoch-indexed limbo lists over one source, the shape
+    QSBR/EBR/DEBRA+ keep per process. *)
+module Triple : sig
+  type nonrec 'a t = 'a t array
+
+  val create : 'a source -> 'a t
+  val total : 'a t -> int
+end
 
 (** The timestamped variant for Cadence/QSense: blocks carry a parallel
     per-node timestamp array (exact age-at-free; per-node filtering of the
@@ -97,7 +107,15 @@ module Ts : sig
       the rest are freed wholesale. The open block is filtered per node: a
       node is dropped only if [age_ok] holds for its own timestamp and
       [keep] rejects it — for limbo sizes below one block this makes bag
-      scans decide exactly as the vec reference. *)
+      scans decide exactly as capacity-1 bags. *)
 
   val splice_into : src:'a t -> dst:'a t -> unit
+
+  (** The QSense epoch triple, as {!Bag.Triple}. *)
+  module Triple : sig
+    type nonrec 'a t = 'a t array
+
+    val create : 'a source -> 'a t
+    val total : 'a t -> int
+  end
 end

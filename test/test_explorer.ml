@@ -82,6 +82,22 @@ let test_serialization_rejects_malformed () =
     "ds=list scheme=hp n=4 keys=32 upd=50 ops=10 dur=1000 cap=0 switch=0 \
      strat=fair faults=stall:9 seed=1"
 
+(* [bags=0] named the element-wise limbo reference; corpus lines carrying
+   it replay on capacity-1 bags. A negative capacity is malformed. *)
+let test_bags_field () =
+  let line bags =
+    Printf.sprintf
+      "ds=list scheme=qsbr n=4 keys=32 upd=50 ops=10 dur=1000 cap=0 \
+       switch=0 bags=%d strat=fair faults=- seed=1"
+      bags
+  in
+  (match Explorer.of_string (line 0) with
+  | Ok c -> Alcotest.(check int) "bags=0 parses as capacity 1" 1 c.Explorer.bags
+  | Error e -> Alcotest.failf "bags=0 rejected: %s" e);
+  match Explorer.of_string (line (-1)) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted bags=-1"
+
 (* --- determinism --------------------------------------------------------- *)
 
 let test_run_one_deterministic () =
@@ -287,6 +303,8 @@ let suite =
       test_serialization_round_trip;
     Alcotest.test_case "malformed cases rejected" `Quick
       test_serialization_rejects_malformed;
+    Alcotest.test_case "bags=0 reads as capacity 1, bags<0 rejected" `Quick
+      test_bags_field;
     Alcotest.test_case "run_one is deterministic" `Quick
       test_run_one_deterministic;
     Alcotest.test_case "finds unsafe-hp, shrinks, replays repro" `Quick
