@@ -593,6 +593,62 @@ module E2e = struct
     print_newline ()
 end
 
+(* --- observatory helpers ------------------------------------------------ *)
+
+(* The same real-domain run (Cadence list, 2 domains, 50% updates) without
+   and with an observer installed by [observe]: the off run is the product
+   configuration, the on run bounds what the observer costs. Returns both
+   throughputs in Mops/s. *)
+let real_ab ~quick observe =
+  let base =
+    { (Qs_harness.Real_exp.default_setup ~ds:Qs_harness.Cset.List
+         ~scheme:Qs_smr.Scheme.Cadence ~n_domains:2
+         ~workload:(Qs_workload.Spec.make ~key_range:512 ~update_pct:50)) with
+      duration_ms = (if quick then 50 else 200);
+      seed = 42 }
+  in
+  let off = Qs_harness.Real_exp.run base in
+  let on = Qs_harness.Real_exp.run (observe base) in
+  (off.throughput_mops, on.throughput_mops)
+
+(* One latency-observatory row on the simulator: [setup] (seed 23) run with
+   a latency recorder and a tracer attached, and its p999 spikes
+   attributed. [stall] replays the calibrated robustness scenario from
+   test/test_latency.ml: the highest pid stalls from tick 20k to the end
+   of the run, leaving the fallback episode open to the end of the trace,
+   and C = 48 pushes QSense over the switch threshold well inside it. *)
+let observed_sim ~stall (setup : _ Qs_harness.Sim_exp.setup) =
+  let module L = Qs_obs.Latency in
+  let n = setup.n_processes in
+  let rec_ =
+    L.recorder ~n_processes:n
+      ~n_kinds:(Qs_harness.Target.n_kinds setup.stream) ()
+  in
+  let tracer = Qs_obs.Tracer.create ~n_processes:n ~capacity:(1 lsl 15) () in
+  let r =
+    Qs_harness.Sim_exp.run
+      { setup with
+        seed = 23;
+        latency = Some rec_;
+        sink = Some (Qs_obs.Tracer.sink tracer);
+        faults =
+          (if stall then
+             [ Qs_sim.Scheduler.Stall_at
+                 { pid = n - 1; at = 20_000; ticks = setup.duration } ]
+           else []);
+        smr_tweak =
+          (if stall then fun c -> { c with Qs_smr.Smr_intf.switch_threshold = 48 }
+           else Fun.id) }
+  in
+  let merged = L.merged rec_ in
+  let threshold = L.lower_edge (L.percentile_bucket merged 99.9) in
+  let attr =
+    Qs_obs.Metrics.attribute_spikes
+      (Qs_obs.Tracer.to_array tracer)
+      ~outliers:(L.outliers rec_) ~threshold
+  in
+  (r, rec_, merged, attr)
+
 (* --- reclamation observatory (--trace) ------------------------------------ *)
 
 (* The tracing subsystem exercised end to end (see DESIGN.md §9 and
@@ -752,27 +808,13 @@ module Observatory = struct
     events_on : int;
   }
 
-  (* Same real-runtime run with and without a sink installed: the off run
-     is the product configuration, the on run bounds what full tracing
-     costs. *)
   let throughput_ab ~quick =
-    let ds = Qs_harness.Cset.List and scheme = Qs_smr.Scheme.Cadence in
-    let workload = Qs_workload.Spec.make ~key_range:512 ~update_pct:50 in
-    let duration_ms = if quick then 50 else 200 in
-    let base =
-      { (Qs_harness.Real_exp.default_setup ~ds ~scheme ~n_domains:2 ~workload) with
-        duration_ms;
-        seed = 42 }
-    in
-    let off = Qs_harness.Real_exp.run base in
     let tracer = Qs_obs.Tracer.create ~n_processes:2 ~capacity:(1 lsl 16) () in
-    let on =
-      Qs_harness.Real_exp.run
-        { base with sink = Some (Qs_obs.Tracer.sink tracer) }
+    let off, on =
+      real_ab ~quick (fun s ->
+          { s with sink = Some (Qs_obs.Tracer.sink tracer) })
     in
-    ( off.Qs_harness.Real_exp.throughput_mops,
-      on.Qs_harness.Real_exp.throughput_mops,
-      Qs_obs.Tracer.total tracer + Qs_obs.Tracer.total_dropped tracer )
+    (off, on, Qs_obs.Tracer.total tracer + Qs_obs.Tracer.total_dropped tracer)
 
   let overhead ~quick =
     let alloc_disabled = alloc_per_event ~enabled:false in
@@ -847,45 +889,18 @@ module Latency_obs = struct
      histogram of samples inside the run budget. *)
   let key_range = function Qs_harness.Cset.List -> 128 | _ -> 4_096
 
-  (* The stall row replays the calibrated robustness scenario from
-     test/test_latency.ml: key range 32 keeps the victim's pinned epoch
-     hot, C = 48 pushes QSense over the switch threshold well inside the
-     run, and the never-ending stall leaves the fallback episode open to
-     the end of the trace. *)
+  (* Stall row: key range 32 keeps the victim's pinned epoch hot. *)
   let sim_row ~quick ~ds ~scheme ~n ~stall =
-    let rec_ =
-      L.recorder ~n_processes:n ~n_kinds:Qs_workload.Spec.n_kinds ()
-    in
-    let tracer = Qs_obs.Tracer.create ~n_processes:n ~capacity:(1 lsl 15) () in
     let workload =
       Qs_workload.Spec.make
         ~key_range:(if stall then 32 else key_range ds)
         ~update_pct:50
     in
-    let duration =
-      if stall then 600_000 else if quick then 150_000 else 400_000
-    in
-    let setup =
-      { (Qs_harness.Sim_exp.default_setup ~ds ~scheme ~n_processes:n ~workload) with
-        duration;
-        seed = 23;
-        latency = Some rec_;
-        sink = Some (Qs_obs.Tracer.sink tracer);
-        faults =
-          (if stall then
-             [ Qs_sim.Scheduler.Stall_at { pid = n - 1; at = 20_000; ticks = duration } ]
-           else []);
-        smr_tweak =
-          (if stall then fun c -> { c with Qs_smr.Smr_intf.switch_threshold = 48 }
-           else Fun.id) }
-    in
-    let r = Qs_harness.Sim_exp.run setup in
-    let merged = L.merged rec_ in
-    let threshold = L.lower_edge (L.percentile_bucket merged 99.9) in
-    let attr =
-      M.attribute_spikes
-        (Qs_obs.Tracer.to_array tracer)
-        ~outliers:(L.outliers rec_) ~threshold
+    let r, _, merged, attr =
+      observed_sim ~stall
+        { (Qs_harness.Sim_exp.default_setup ~ds ~scheme ~n_processes:n ~workload) with
+          duration =
+            (if stall then 600_000 else if quick then 150_000 else 400_000) }
     in
     { ds;
       scheme;
@@ -961,27 +976,14 @@ module Latency_obs = struct
     done;
     (Gc.minor_words () -. w0) /. float_of_int n
 
-  (* Same real-domain run with and without the recorder: the off run is
-     the product configuration, the on run bounds what always-on latency
-     recording costs (one coarse-clock read per side of the op plus the
-     histogram increment). *)
+  (* Recorder A/B: the on run pays one coarse-clock read per side of the
+     op plus the histogram increment. *)
   let throughput_ab ~quick =
-    let ds = Qs_harness.Cset.List and scheme = Qs_smr.Scheme.Cadence in
-    let workload = Qs_workload.Spec.make ~key_range:512 ~update_pct:50 in
-    let duration_ms = if quick then 50 else 200 in
-    let base =
-      { (Qs_harness.Real_exp.default_setup ~ds ~scheme ~n_domains:2 ~workload) with
-        duration_ms;
-        seed = 42 }
-    in
-    let off = Qs_harness.Real_exp.run base in
     let rec_ =
       L.recorder ~n_processes:2 ~n_kinds:Qs_workload.Spec.n_kinds ()
     in
-    let on = Qs_harness.Real_exp.run { base with latency = Some rec_ } in
-    ( off.Qs_harness.Real_exp.throughput_mops,
-      on.Qs_harness.Real_exp.throughput_mops,
-      L.count (L.merged rec_) )
+    let off, on = real_ab ~quick (fun s -> { s with latency = Some rec_ }) in
+    (off, on, L.count (L.merged rec_))
 
   type report = {
     lat_rows : row list;
@@ -1064,6 +1066,8 @@ module Service_obs = struct
   module M = Qs_obs.Metrics
   module Ksp = Qs_workload.Kv_spec
   module Sv = Qs_service.Service_sim
+  module Sim_exp = Qs_harness.Sim_exp
+  module Real_exp = Qs_harness.Real_exp
 
   type kind_row = { kops : int; kp50 : int; kp99 : int; kp999 : int }
 
@@ -1110,45 +1114,21 @@ module Service_obs = struct
 
   let sim_row ~quick ~scheme ~dist ~stall =
     let n = 4 in
-    let gen = make_gen ~dist ~stall ~n in
-    let rec_ = L.recorder ~n_processes:n ~n_kinds:Ksp.n_kinds () in
-    let tracer = Qs_obs.Tracer.create ~n_processes:n ~capacity:(1 lsl 15) () in
-    let duration =
-      if stall then 600_000 else if quick then 150_000 else 400_000
-    in
-    let setup =
-      { (Sv.default_setup ~scheme ~n_processes:n ~gen) with
-        Sv.duration;
-        seed = 23;
-        n_shards = 4;
-        latency = Some rec_;
-        sink = Some (Qs_obs.Tracer.sink tracer);
-        churn =
-          (if stall then None
-           else Some { Sv.every_ops = 40; downtime = 2_000 });
-        faults =
-          (if stall then
-             [ Qs_sim.Scheduler.Stall_at
-                 { pid = n - 1; at = 20_000; ticks = duration } ]
-           else []);
-        smr_tweak =
-          (if stall then
-             fun c -> { c with Qs_smr.Smr_intf.switch_threshold = 48 }
-           else Fun.id) }
-    in
-    let r = Sv.run setup in
-    let merged = L.merged rec_ in
-    let threshold = L.lower_edge (L.percentile_bucket merged 99.9) in
-    let attr =
-      M.attribute_spikes
-        (Qs_obs.Tracer.to_array tracer)
-        ~outliers:(L.outliers rec_) ~threshold
+    let r, rec_, merged, attr =
+      observed_sim ~stall
+        { (Sv.default_setup ~scheme ~n_processes:n
+             ~gen:(make_gen ~dist ~stall ~n)) with
+          Sim_exp.duration =
+            (if stall then 600_000 else if quick then 150_000 else 400_000);
+          churn =
+            (if stall then None
+             else Some { Sim_exp.every_ops = 40; downtime = 2_000 }) }
     in
     let kinds =
       List.init Ksp.n_kinds (fun k ->
           let h = L.merged_kind rec_ ~kind:k in
           ( Ksp.kind_name k,
-            { kops = r.Sv.per_kind_ops.(k);
+            { kops = r.Sim_exp.per_kind_ops.(k);
               kp50 = L.percentile h 50.;
               kp99 = L.percentile h 99.;
               kp999 = L.percentile h 99.9 } ))
@@ -1156,11 +1136,11 @@ module Service_obs = struct
     { scheme;
       dist;
       stall;
-      ops = r.Sv.ops_total;
-      violations = r.Sv.violations;
-      churn_events = r.Sv.churn_events;
+      ops = r.Sim_exp.ops_total;
+      violations = r.Sim_exp.violations;
+      churn_events = r.Sim_exp.churn_events;
       leak_ok =
-        (match r.Sv.leak_check with `Ok | `Skipped -> true | `Leaked _ -> false);
+        (match r.Sim_exp.leak_check with `Ok | `Skipped -> true | `Leaked _ -> false);
       kinds;
       p999 = L.percentile merged 99.9;
       attr }
@@ -1242,17 +1222,17 @@ module Service_obs = struct
       { (Qs_service.Service_real.default_setup
            ~scheme:Qs_smr.Scheme.Qsense ~n_domains:n ~gen)
         with
-        Qs_service.Service_real.duration_ms = (if quick then 50 else 200);
-        churn = Some { Qs_service.Service_real.generations = 2; downtime_ms = 2 } }
+        Real_exp.duration_ms = (if quick then 50 else 200);
+        churn = Some { Real_exp.generations = 2; downtime_ms = 2 } }
     in
-    let r = Qs_service.Service_real.run setup in
+    let r = Real_exp.run setup in
     { r_scheme = Qs_smr.Scheme.Qsense;
       r_domains = n;
-      r_ops = r.Qs_service.Service_real.ops_total;
-      r_mops = r.Qs_service.Service_real.throughput_mops;
-      r_violations = r.Qs_service.Service_real.violations;
-      r_failed = r.Qs_service.Service_real.failed;
-      r_churn = r.Qs_service.Service_real.churn_events }
+      r_ops = r.Real_exp.ops_total;
+      r_mops = r.Real_exp.throughput_mops;
+      r_violations = r.Real_exp.violations;
+      r_failed = r.Real_exp.failed;
+      r_churn = r.Real_exp.churn_events }
 
   type report = {
     svc_rows : row list;  (** matrix rows, stall row last *)
@@ -1496,7 +1476,9 @@ let () =
   let service = List.mem "--service" argv in
   R.register_self 0;
   (* roosters give Cadence/QSense their coarse clock and wake-up guarantee *)
-  let roosters = Qs_real.Roosters.start ~interval_ns:2_000_000 ~n:1 in
+  let roosters =
+    Qs_real.Roosters.start ~interval_ns:Qs_harness.Real_exp.rooster_interval_ns ~n:1
+  in
   if not micro_only then begin
     ignore
       (run_group "primitives (real x86 costs)"

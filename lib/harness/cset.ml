@@ -27,9 +27,7 @@ module type S = sig
   val flush : ctx -> unit
   val report : t -> Qs_ds.Set_intf.report
   val violations : t -> int
-  val retired_count : t -> int
   val outstanding : t -> int
-  val scheme_name : t -> string
 
   val nodes_per_key : int
   (** Arena nodes per live key: 1 for the lists and the skip list, 2 for the

@@ -333,12 +333,13 @@ let has_skew faults =
 let has_neutralize faults =
   List.exists (function Scheduler.Neutralize_at _ -> true | _ -> false) faults
 
-(* Scheme-appropriate operating point (mirrors Sim_exp): rooster-dependent
-   schemes get roosters at T with oversleep <= epsilon/2; the others get no
-   roosters and a vacuous age check, the adversarial setting under which
-   fenced HP must still be safe and unfenced HP is not. *)
-let t_rooster = 4_000
-let epsilon = 600
+(* Scheme-appropriate operating point (Sim_exp's T and epsilon):
+   rooster-dependent schemes get roosters at T with oversleep <= epsilon/2;
+   the others get no roosters and a vacuous age check, the adversarial
+   setting under which fenced HP must still be safe and unfenced HP is
+   not. *)
+let t_rooster = Sim_exp.default_rooster_interval
+let epsilon = Sim_exp.default_epsilon
 
 let scheduler_strategy (c : case) : Scheduler.strategy =
   match c.strategy with

@@ -1,64 +1,33 @@
-(** Experiment runner over real OCaml 5 domains ({!Qs_real.Real_runtime}).
-
-    The shape mirrors {!Sim_exp}: N worker domains run a random operation
-    mix against one structure for a wall-clock duration, with an optional
-    stalled victim. On a machine with enough cores this reproduces the
-    paper's curves natively; on fewer cores domains timeshare, so use the
-    simulator for scalability shapes and this runner for real-fence
-    smoke tests and demos. Rooster domains are started automatically for
-    schemes that need them. *)
+(** The experiment driver over real OCaml 5 domains (see the interface):
+    one worker loop over any {!Target} and request stream. *)
 
 type churn = { generations : int; downtime_ms : int }
 
-type setup = {
-  ds : Cset.kind;
+type 'op setup = {
+  target : 'op Target.t;
+  stream : 'op Target.stream;
   scheme : Qs_smr.Scheme.kind;
   n_domains : int;
-  workload : Qs_workload.Spec.t;
   duration_ms : int;
   seed : int;
   capacity : int option;
   stall_victim_after_ms : int option;
-      (** victim = highest pid; it stops working (but never quiesces) after
-          this instant and resumes 2x later *)
   churn : churn option;
-      (** worker churn: each pid slot runs [generations] successive worker
-          domains over the duration, each generation unregistering its SMR
-          slot on exit (donating limbo lists to the orphan pool) and the
-          next one re-registering under the same pid after [downtime_ms] *)
   latency : Qs_obs.Latency.recorder option;
-      (** per-{pid × op-kind} histograms + outliers, timed with the
-          allocation-free coarse clock ({!Qs_real.Real_runtime.now_coarse},
-          one atomic load per read) — quantized to the rooster interval,
-          so real-runtime percentiles are coarse; the simulator supplies
-          exact ones. Forces rooster domains on (they feed the clock). *)
   sink : Qs_intf.Runtime_intf.sink option;
-      (** trace sink (e.g. [Qs_obs.Tracer.sink]), installed for the worker
-          phase (after the fill) and removed before return *)
   smr_tweak : Qs_smr.Smr_intf.config -> Qs_smr.Smr_intf.config;
 }
 
-let default_setup ~ds ~scheme ~n_domains ~workload =
-  { ds;
-    scheme;
-    n_domains;
-    workload;
-    duration_ms = 200;
-    seed = 1;
-    capacity = None;
-    stall_victim_after_ms = None;
-    churn = None;
-    latency = None;
-    sink = None;
-    smr_tweak = Fun.id }
-
 type result = {
   ops_total : int;
+  per_kind_ops : int array;
   throughput_mops : float;
   violations : int;
-  failed : bool;  (** some domain hit [Arena.Exhausted] *)
-  churn_events : int;  (** completed leave/rejoin cycles across all slots *)
+  failed : bool;
+  churn_events : int;
+  final_size : int;
   report : Qs_ds.Set_intf.report;
+  leak_check : [ `Ok | `Leaked of int | `Skipped ];
 }
 
 let rooster_interval_ns = 2_000_000 (* 2 ms *)
@@ -69,8 +38,27 @@ let cset_of : Cset.kind -> (module Cset.S) = function
   | Cset.Bst -> (module Qs_ds.Bst.Make (Qs_real.Real_runtime))
   | Cset.Hashtable -> (module Qs_ds.Hashtable.Make (Qs_real.Real_runtime))
 
-let run (setup : setup) : result =
-  let module C = (val cset_of setup.ds) in
+let make_setup ~target ~stream ~scheme ~n_domains =
+  { target;
+    stream;
+    scheme;
+    n_domains;
+    duration_ms = 200;
+    seed = 1;
+    capacity = None;
+    stall_victim_after_ms = None;
+    churn = None;
+    latency = None;
+    sink = None;
+    smr_tweak = Fun.id }
+
+let default_setup ~ds ~scheme ~n_domains ~workload =
+  make_setup
+    ~target:(Target.of_set (cset_of ds))
+    ~stream:(Target.Pick workload) ~scheme ~n_domains
+
+let run (type op) (setup : op setup) : result =
+  let module T = (val setup.target) in
   let n = setup.n_domains in
   let base = Qs_ds.Set_intf.default_config ~n_processes:n ~scheme:setup.scheme in
   let cfg =
@@ -82,12 +70,12 @@ let run (setup : setup) : result =
             rooster_interval = rooster_interval_ns;
             epsilon = rooster_interval_ns / 2 } }
   in
-  let set = C.create cfg in
-  let ctxs = Array.init n (fun pid -> C.register set ~pid) in
+  let target = T.create cfg in
+  let ctxs = Array.init n (fun pid -> T.register target ~pid) in
   Qs_real.Real_runtime.register_self 0;
-  let keys = Array.of_list (Qs_workload.Spec.initial_keys setup.workload) in
+  let keys = Array.of_list (Target.initial_keys setup.stream) in
   Qs_util.Prng.shuffle (Qs_util.Prng.create ~seed:setup.seed) keys;
-  Array.iter (fun k -> ignore (C.insert ctxs.(0) k)) keys;
+  Array.iter (T.fill ctxs.(0)) keys;
   (* Install the trace sink only for the worker phase: the fill above is
      setup, not measured behaviour. *)
   Qs_real.Real_runtime.set_sink setup.sink;
@@ -105,6 +93,8 @@ let run (setup : setup) : result =
   let deadline = t0 +. (float_of_int setup.duration_ms /. 1000.) in
   let master = Qs_util.Prng.create ~seed:(setup.seed + 31) in
   let prngs = Array.init n (fun _ -> Qs_util.Prng.split master) in
+  let n_kinds = Target.n_kinds setup.stream in
+  let kind_counts = Array.init n (fun _ -> Array.make n_kinds 0) in
   (* [Unix.gettimeofday] is a syscall-priced clock read; at the
      millions-of-ops/s this loop targets, reading it per operation
      dominates the thing being measured. Check the deadline (and the
@@ -114,6 +104,7 @@ let run (setup : setup) : result =
      throughput divides by the measured elapsed time anyway. *)
   let worker_loop ~pid ~ctx ~until_ =
     let prng = prngs.(pid) in
+    let counts = kind_counts.(pid) in
     let stall_at =
       match setup.stall_victim_after_ms with
       | Some ms when pid = n - 1 ->
@@ -140,28 +131,25 @@ let run (setup : setup) : result =
               aborted operation is simply retried (and not counted) — an
               installed OCaml exception handler is push-one-trap-frame
               cheap, so this does not tax the measured loop. *)
-           (try
-              let op = Qs_workload.Spec.pick prng setup.workload in
-              let ls =
-                (* coarse clock: one atomic load, no boxed float — the
-                   recording path must stay at 0 minor words per op *)
-                match setup.latency with
-                | Some _ -> Qs_real.Real_runtime.now_coarse ()
-                | None -> 0
-              in
-              (match op with
-              | Search k -> ignore (C.search ctx k)
-              | Insert k -> ignore (C.insert ctx k)
-              | Delete k -> ignore (C.delete ctx k));
-              (match setup.latency with
-              | Some r ->
-                Qs_obs.Latency.observe r ~pid
-                  ~kind:(Qs_workload.Spec.kind_index op)
-                  ~start:ls
-                  ~dur:(Qs_real.Real_runtime.now_coarse () - ls)
-              | None -> ());
-              incr count
-            with Qs_intf.Runtime_intf.Neutralized -> ())
+           try
+             let op = Target.op setup.stream prng ~pid ~i:!count in
+             let ls =
+               (* coarse clock: one atomic load, no boxed float — the
+                  recording path must stay at 0 minor words per op *)
+               match setup.latency with
+               | Some _ -> Qs_real.Real_runtime.now_coarse ()
+               | None -> 0
+             in
+             T.apply ctx op;
+             let kind = Target.kind_index setup.stream op in
+             (match setup.latency with
+             | Some r ->
+               Qs_obs.Latency.observe r ~pid ~kind ~start:ls
+                 ~dur:(Qs_real.Real_runtime.now_coarse () - ls)
+             | None -> ());
+             counts.(kind) <- counts.(kind) + 1;
+             incr count
+           with Qs_intf.Runtime_intf.Neutralized -> ()
          end
        done
      with Qs_arena.Arena.Exhausted ->
@@ -188,7 +176,7 @@ let run (setup : setup) : result =
                the fill for pid 0); later generations join fresh, under the
                same pid slot. *)
             let ctx =
-              if gen = 0 then ctxs.(pid) else C.register set ~pid
+              if gen = 0 then ctxs.(pid) else T.register target ~pid
             in
             let until_ =
               Float.min deadline (t0 +. (slice_s *. float_of_int (gen + 1)))
@@ -196,7 +184,7 @@ let run (setup : setup) : result =
             let count = worker_loop ~pid ~ctx ~until_ in
             (* leave: donate limbo lists to the orphan pool so survivors
                (and successor generations) reclaim them *)
-            if gen < generations - 1 then C.unregister ctx
+            if gen < generations - 1 then T.unregister ctx
             else ctxs.(pid) <- ctx;
             count)
       in
@@ -210,11 +198,45 @@ let run (setup : setup) : result =
   (* The sink is a global on the real runtime: remove it so later runs in
      the same process do not keep feeding this experiment's tracer. *)
   Qs_real.Real_runtime.set_sink None;
-  let report = C.report set in
   let ops_total = Array.fold_left ( + ) 0 ops in
+  let per_kind_ops = Array.make n_kinds 0 in
+  Array.iter
+    (Array.iteri (fun k c -> per_kind_ops.(k) <- per_kind_ops.(k) + c))
+    kind_counts;
+  (* Publish this run's view to the global registry (a Prometheus/JSON
+     scrape after the run exports it). *)
+  let reg = Qs_obs.Registry.global in
+  let prefix =
+    match setup.stream with Target.Trace _ -> "service" | _ -> "set"
+  in
+  for k = 0 to n_kinds - 1 do
+    Qs_obs.Registry.add
+      (Qs_obs.Registry.counter reg
+         (Printf.sprintf "%s_requests_total_%s" prefix
+            (Target.kind_name setup.stream k)))
+      per_kind_ops.(k)
+  done;
+  Qs_obs.Registry.set_gauge
+    (Qs_obs.Registry.gauge reg (prefix ^ "_throughput_ops_per_sec"))
+    (int_of_float (float_of_int ops_total /. elapsed));
+  let violations = T.violations target in
+  let final_size = List.length (T.contents ctxs.(0)) in
+  (* capture statistics before the teardown flush below frees everything *)
+  let report = T.report target in
+  let leak_check =
+    if setup.scheme = Qs_smr.Scheme.None_ then `Skipped
+    else begin
+      Array.iter T.flush ctxs;
+      let leaked = T.outstanding target - T.live_nodes ctxs.(0) in
+      if leaked = 0 then `Ok else `Leaked leaked
+    end
+  in
   { ops_total;
+    per_kind_ops;
     throughput_mops = float_of_int ops_total /. elapsed /. 1e6;
-    violations = C.violations set;
+    violations;
     failed = Atomic.get failed;
     churn_events = !churn_events;
-    report }
+    final_size;
+    report;
+    leak_check }

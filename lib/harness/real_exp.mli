@@ -1,20 +1,24 @@
-(** Experiment runner over real OCaml 5 domains — the {!Sim_exp} shape on
-    {!Qs_real.Real_runtime}. On a machine with enough cores this reproduces
-    the paper's curves natively; on fewer cores domains timeshare, so use
-    the simulator for scalability shapes and this runner for real-fence
-    smoke tests and demos. Roosters are started automatically for schemes
-    that need them. *)
+(** The experiment driver over real OCaml 5 domains — the {!Sim_exp} shape
+    on {!Qs_real.Real_runtime}: N worker domains replay a request stream
+    against one target for a wall-clock duration, with an optional stalled
+    victim and worker churn. Pre-generated streams and KV traces are
+    replayed closed loop (as fast as the machine allows; the simulator owns
+    exact open-loop latency). On a machine with enough cores this
+    reproduces the paper's curves natively; on fewer cores domains
+    timeshare, so use the simulator for scalability shapes and this driver
+    for real-fence smoke tests and demos. Roosters are started
+    automatically for schemes that need them. *)
 
 type churn = {
   generations : int;  (** worker generations per pid slot; 1 = no churn *)
   downtime_ms : int;  (** slot left empty between generations *)
 }
 
-type setup = {
-  ds : Cset.kind;
+type 'op setup = {
+  target : 'op Target.t;
+  stream : 'op Target.stream;
   scheme : Qs_smr.Scheme.kind;
   n_domains : int;
-  workload : Qs_workload.Spec.t;
   duration_ms : int;
   seed : int;
   capacity : int option;
@@ -43,21 +47,36 @@ type setup = {
   smr_tweak : Qs_smr.Smr_intf.config -> Qs_smr.Smr_intf.config;
 }
 
+val make_setup :
+  target:'op Target.t ->
+  stream:'op Target.stream ->
+  scheme:Qs_smr.Scheme.kind ->
+  n_domains:int ->
+  'op setup
+(** 200 ms, seed 1, no cap, no stall, no churn, no recorder, no sink. *)
+
 val default_setup :
   ds:Cset.kind ->
   scheme:Qs_smr.Scheme.kind ->
   n_domains:int ->
   workload:Qs_workload.Spec.t ->
-  setup
+  Qs_workload.Spec.op setup
+(** {!make_setup} on the real-runtime instantiation of [ds], drawing
+    operations on-line from [workload]. *)
 
 type result = {
   ops_total : int;
+  per_kind_ops : int array;  (** indexed by the stream's op-kind index *)
   throughput_mops : float;
   violations : int;
   failed : bool;  (** some domain hit the arena capacity *)
   churn_events : int;
       (** completed leave/rejoin cycles across all slots (0 without churn) *)
-  report : Qs_ds.Set_intf.report;
+  final_size : int;
+  report : Qs_ds.Set_intf.report;  (** captured before the teardown flush *)
+  leak_check : [ `Ok | `Leaked of int | `Skipped ];
+      (** after the workers join and every context is flushed:
+          outstanding nodes vs live nodes *)
 }
 
 val rooster_interval_ns : int
@@ -65,4 +84,8 @@ val rooster_interval_ns : int
 val cset_of : Cset.kind -> (module Cset.S)
 (** The real-runtime instantiation of each structure. *)
 
-val run : setup -> result
+val run : 'op setup -> result
+(** Fill from the main domain (shuffled), run the workers to the deadline,
+    then collect statistics and perform the teardown leak check. Per-run
+    request totals and throughput also go to {!Qs_obs.Registry.global}
+    ([service_*] names for a KV trace, [set_*] otherwise). *)

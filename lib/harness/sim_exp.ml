@@ -1,12 +1,5 @@
-(** Experiment runner over the deterministic simulator.
-
-    One experiment = N worker processes, one per virtual core, running a
-    random mix of set operations for a fixed span of virtual time, with
-    optional delay injection (a chosen victim process sleeping through given
-    windows, as in the paper's §7.2 robustness runs) and an optional arena
-    capacity (exceeding it models running out of memory). Throughput is
-    operations per million virtual ticks — the analogue of the paper's
-    Mops/s. *)
+(** The experiment driver over the deterministic simulator (see the
+    interface): one worker loop over any {!Target} and request stream. *)
 
 open Qs_sim
 
@@ -14,73 +7,38 @@ type delays = { victim : int; windows : (int * int) list }
 
 type churn = { every_ops : int; downtime : int }
 
-type setup = {
-  ds : Cset.kind;
+type 'op setup = {
+  target : 'op Target.t;
+  stream : 'op Target.stream;
   scheme : Qs_smr.Scheme.kind;
   n_processes : int;
-  workload : Qs_workload.Spec.t;
   duration : int;
+  ops_limit : int option;
   seed : int;
   capacity : int option;
   delays : delays option;
   churn : churn option;
-      (** worker churn: every [every_ops] completed operations, each worker
-          with pid > 0 unregisters (donating its limbo lists to the orphan
-          pool), sits out [downtime] ticks, and re-registers under the same
-          pid. Pid 0 stays put so the fill/teardown context stays alive. *)
-  sample_every : int;  (** bucket width of the throughput series; 0 = none *)
-  record_latency : bool;  (** collect per-operation latencies (in ticks) *)
+  sample_every : int;
   latency : Qs_obs.Latency.recorder option;
-      (** per-{pid × op-kind} online histograms + top-K outliers, recorded
-          via meta-level clock reads ([Scheduler.clock_of]) so schedules
-          are byte-identical with the recorder on or off *)
-  generator : Qs_workload.Generator.t option;
-      (** pre-generated op streams (cyclic, indexed by completed ops) in
-          place of on-line [Spec.pick] draws — the same logical sequence
-          replayable across schemes for latency comparisons *)
   faults : Scheduler.fault list;
-      (** injected after the fill, re-armed by the clock reset, so fault
-          times are in measured time *)
   sink : Qs_intf.Runtime_intf.sink option;
-      (** trace sink (e.g. [Qs_obs.Tracer.sink]), installed after the fill
-          so the trace covers measured time only; [None] = tracing off *)
   smr_tweak : Qs_smr.Smr_intf.config -> Qs_smr.Smr_intf.config;
   sched_tweak : Scheduler.config -> Scheduler.config;
 }
 
-let default_setup ~ds ~scheme ~n_processes ~workload =
-  { ds;
-    scheme;
-    n_processes;
-    workload;
-    duration = 300_000;
-    seed = 1;
-    capacity = None;
-    delays = None;
-    churn = None;
-    sample_every = 0;
-    record_latency = false;
-    latency = None;
-    generator = None;
-    faults = [];
-    sink = None;
-    smr_tweak = Fun.id;
-    sched_tweak = Fun.id }
-
 type result = {
   ops_total : int;
   per_worker_ops : int array;
-  throughput : float;  (** ops per million virtual ticks *)
-  series : float array;  (** ops/Mtick per sample bucket *)
-  failed_at : int option;  (** virtual time of memory exhaustion, if any *)
-  latencies : int array;  (** per-operation latencies in ticks, all workers *)
+  per_kind_ops : int array;
+  throughput : float;
+  series : float array;
+  failed_at : int option;
   violations : int;
   report : Qs_ds.Set_intf.report;
-  rooster_fires : int;
   final_size : int;
-  churn_events : int;  (** completed leave/rejoin cycles across all workers *)
+  contents : int list;
+  churn_events : int;
   leak_check : [ `Ok | `Leaked of int | `Skipped ];
-      (** after teardown flush: do outstanding nodes match live nodes? *)
 }
 
 (* The paper's defaults scaled to simulator ticks: rooster interval T and
@@ -101,8 +59,31 @@ let cset_of : Cset.kind -> (module Cset.S) = function
   | Cset.Bst -> (module Qs_ds.Bst.Make (Sim_runtime))
   | Cset.Hashtable -> (module Qs_ds.Hashtable.Make (Sim_runtime))
 
-let run (setup : setup) : result =
-  let module C = (val cset_of setup.ds) in
+let make_setup ~target ~stream ~scheme ~n_processes =
+  { target;
+    stream;
+    scheme;
+    n_processes;
+    duration = 300_000;
+    ops_limit = None;
+    seed = 1;
+    capacity = None;
+    delays = None;
+    churn = None;
+    sample_every = 0;
+    latency = None;
+    faults = [];
+    sink = None;
+    smr_tweak = Fun.id;
+    sched_tweak = Fun.id }
+
+let default_setup ~ds ~scheme ~n_processes ~workload =
+  make_setup
+    ~target:(Target.of_set (cset_of ds))
+    ~stream:(Target.Pick workload) ~scheme ~n_processes
+
+let run (type op) (setup : op setup) : result =
+  let module T = (val setup.target) in
   let n = setup.n_processes in
   let sched_cfg =
     setup.sched_tweak
@@ -114,21 +95,21 @@ let run (setup : setup) : result =
         rooster_oversleep = default_epsilon / 2 }
   in
   let sched = Scheduler.create sched_cfg in
-  let set_cfg =
+  let cfg =
     { Qs_ds.Set_intf.scheme = setup.scheme;
       smr = setup.smr_tweak (base_smr_config ~n_processes:n);
       capacity = setup.capacity;
       debug_checks = true }
   in
-  let set = C.create set_cfg in
-  let ctxs = Array.init n (fun pid -> C.register set ~pid) in
+  let target = T.create cfg in
+  let ctxs = Array.init n (fun pid -> T.register target ~pid) in
   (* Pre-fill to half the key range from a single process (§7.1). *)
   Scheduler.exec sched ~pid:0 (fun () ->
       (* shuffled so that unbalanced structures (the external BST) do not
          degenerate under an ascending fill *)
-      let keys = Array.of_list (Qs_workload.Spec.initial_keys setup.workload) in
+      let keys = Array.of_list (Target.initial_keys setup.stream) in
       Qs_util.Prng.shuffle (Qs_util.Prng.create ~seed:setup.seed) keys;
-      Array.iter (fun k -> ignore (C.insert ctxs.(0) k)) keys);
+      Array.iter (T.fill ctxs.(0)) keys);
   (* faults go in after the fill (so they cannot fire during it) and
      before the clock reset, which re-arms them on the measured time base *)
   if setup.faults <> [] then Scheduler.inject sched setup.faults;
@@ -142,11 +123,19 @@ let run (setup : setup) : result =
   in
   let buckets = Array.make (max n_buckets 1) 0 in
   let per_worker_ops = Array.make n 0 in
-  let latency_logs = Array.init n (fun _ -> ref []) in
+  let per_kind_ops = Array.make (Target.n_kinds setup.stream) 0 in
   let failed_at = ref None in
   let churn_counts = Array.make n 0 in
   let master = Qs_util.Prng.create ~seed:(setup.seed + 7919) in
   let prngs = Array.init n (fun _ -> Qs_util.Prng.split master) in
+  let ops_limit = Option.value setup.ops_limit ~default:max_int in
+  let arrivals =
+    (* open loop only when the trace has inter-arrival gaps (its arrival
+       times are all 0 otherwise) *)
+    match setup.stream with
+    | Target.Trace g when Qs_workload.Kv_gen.arrival g ~pid:0 ~i:1 > 0 -> Some g
+    | _ -> None
+  in
   for pid = 0 to n - 1 do
     Scheduler.spawn sched ~pid (fun () ->
         let prng = prngs.(pid) in
@@ -169,15 +158,31 @@ let run (setup : setup) : result =
           | Some c when per_worker_ops.(pid) >= !next_churn ->
             (* leave: retire the SMR slot (limbo lists go to the orphan
                pool), sit out, rejoin under the same pid *)
-            C.unregister !ctx;
+            T.unregister !ctx;
             Sim_runtime.sleep_until (Sim_runtime.now () + c.downtime);
-            ctx := C.register set ~pid;
+            ctx := T.register target ~pid;
             ctxs.(pid) <- !ctx;
             churn_counts.(pid) <- churn_counts.(pid) + 1;
             next_churn := !next_churn + c.every_ops
           | _ -> ());
+          let i = per_worker_ops.(pid) in
           let t = Sim_runtime.now () in
-          if t < setup.duration && !failed_at = None then begin
+          (* Open loop: wait for the request's scheduled arrival (an early
+             worker idles; a late one starts at once and the backlog shows
+             up as queueing latency, measured from [start]). *)
+          let start =
+            match arrivals with
+            | Some g -> Qs_workload.Kv_gen.arrival g ~pid ~i
+            | None -> t
+          in
+          let t =
+            if start > t then begin
+              Sim_runtime.sleep_until start;
+              start
+            end
+            else t
+          in
+          if t < setup.duration && i < ops_limit && !failed_at = None then begin
             (match
                List.find_opt (fun (a, b) -> a <= t && t < b) windows
              with
@@ -193,34 +198,19 @@ let run (setup : setup) : result =
                  retried by the loop and not counted. *)
               Scheduler.set_neutralizable sched ~pid true;
               (try
-                 (* Index pre-generated streams by *completed* ops so an
-                    aborted (neutralized) operation is retried, keeping
-                    the logical sequence identical across schemes. *)
-                 let op =
-                   match setup.generator with
-                   | Some g ->
-                     Qs_workload.Generator.op g ~pid ~i:per_worker_ops.(pid)
-                   | None -> Qs_workload.Spec.pick prng setup.workload
-                 in
-                 (match op with
-                 | Search k -> ignore (C.search !ctx k)
-                 | Insert k -> ignore (C.insert !ctx k)
-                 | Delete k -> ignore (C.delete !ctx k));
+                 let op = Target.op setup.stream prng ~pid ~i in
+                 T.apply !ctx op;
+                 let kind = Target.kind_index setup.stream op in
                  (match setup.latency with
                  | Some r ->
                    (* [clock_of] is a meta-level read of the core clock —
                       no effect is performed, so recording cannot shift
                       the seeded schedule (same contract as [E_emit]). *)
                    let t1 = Scheduler.clock_of sched ~pid in
-                   Qs_obs.Latency.observe r ~pid
-                     ~kind:(Qs_workload.Spec.kind_index op)
-                     ~start:t ~dur:(t1 - t)
+                   Qs_obs.Latency.observe r ~pid ~kind ~start ~dur:(t1 - start)
                  | None -> ());
-                 if setup.record_latency then begin
-                   let log = latency_logs.(pid) in
-                   log := (Sim_runtime.now () - t) :: !log
-                 end;
-                 per_worker_ops.(pid) <- per_worker_ops.(pid) + 1;
+                 per_worker_ops.(pid) <- i + 1;
+                 per_kind_ops.(kind) <- per_kind_ops.(kind) + 1;
                  if setup.sample_every > 0 then begin
                    let b = t / setup.sample_every in
                    if b < Array.length buckets then
@@ -251,31 +241,28 @@ let run (setup : setup) : result =
         (fun c -> float_of_int c /. float_of_int setup.sample_every *. 1e6)
         buckets
   in
-  let violations = C.violations set in
-  let final_size = Scheduler.exec sched ~pid:0 (fun () -> C.size ctxs.(0)) in
+  let violations = T.violations target in
+  let contents = Scheduler.exec sched ~pid:0 (fun () -> T.contents ctxs.(0)) in
   (* capture statistics before the teardown flush below frees everything *)
-  let report = C.report set in
+  let report = T.report target in
   let leak_check =
     if setup.scheme = Qs_smr.Scheme.None_ then `Skipped
     else begin
-      Scheduler.exec sched ~pid:0 (fun () -> Array.iter C.flush ctxs);
-      let leaked = C.outstanding set - (C.nodes_per_key * final_size) in
+      Scheduler.exec sched ~pid:0 (fun () -> Array.iter T.flush ctxs);
+      let live = Scheduler.exec sched ~pid:0 (fun () -> T.live_nodes ctxs.(0)) in
+      let leaked = T.outstanding target - live in
       if leaked = 0 then `Ok else `Leaked leaked
     end
   in
-  let latencies =
-    Array.of_list
-      (Array.fold_left (fun acc l -> List.rev_append !l acc) [] latency_logs)
-  in
   { ops_total;
     per_worker_ops;
+    per_kind_ops;
     throughput;
     series;
-    latencies;
     failed_at = !failed_at;
     violations;
     report;
-    rooster_fires = Scheduler.rooster_fires sched;
-    final_size;
+    final_size = List.length contents;
+    contents;
     churn_events = Array.fold_left ( + ) 0 churn_counts;
     leak_check }

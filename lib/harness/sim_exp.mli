@@ -1,10 +1,13 @@
-(** Experiment runner over the deterministic simulator.
+(** The experiment driver over the deterministic simulator.
 
-    One experiment = N worker processes (one per virtual core) running a
-    random operation mix against a freshly filled structure for a span of
-    virtual time, with optional delay injection (the paper's §7.2 setup: a
-    victim process sleeping through given windows) and an optional arena
-    capacity whose exhaustion models running out of memory.
+    One experiment = N worker processes (one per virtual core) replaying a
+    request stream ({!Target.stream}: on-line set ops, a pre-generated
+    set-op stream, or a KV trace with open-loop arrivals) against a freshly
+    filled target ({!Target.S}: a concurrent set, or the KV service via
+    [Qs_service.Service_sim]) for a span of virtual time, with optional
+    delay injection (the paper's §7.2 setup: a victim process sleeping
+    through given windows), worker churn, and an optional arena capacity
+    whose exhaustion models running out of memory.
 
     Everything is deterministic given [seed]. Throughput is reported in
     operations per million virtual ticks — the analogue of the paper's
@@ -22,12 +25,18 @@ type churn = {
   downtime : int;  (** virtual ticks spent out of the computation *)
 }
 
-type setup = {
-  ds : Cset.kind;
+type 'op setup = {
+  target : 'op Target.t;
+  stream : 'op Target.stream;
   scheme : Qs_smr.Scheme.kind;
   n_processes : int;
-  workload : Qs_workload.Spec.t;
   duration : int;  (** virtual ticks of measured time (after the fill) *)
+  ops_limit : int option;
+      (** stop each worker after this many completed requests (with a
+          [duration] comfortably past the end): every scheme then executes
+          the identical logical trace of a pre-generated stream, so final
+          contents are comparable — the differential-test mode. [None] =
+          duration-bounded. *)
   seed : int;
   capacity : int option;  (** arena cap; exceeded => the run "fails" *)
   delays : delays option;
@@ -38,19 +47,16 @@ type setup = {
           same pid — staggered by pid so workers do not all vacate at once.
           Pid 0 never churns, keeping the fill/teardown context alive. *)
   sample_every : int;  (** bucket width of the throughput series; 0 = none *)
-  record_latency : bool;  (** collect per-operation latencies (in ticks) *)
   latency : Qs_obs.Latency.recorder option;
       (** per-{pid × op-kind} online histograms + top-K outlier buffers.
           End timestamps come from meta-level clock reads
           ([Scheduler.clock_of]) rather than a [now] effect, so seeded
           schedules are byte-identical with the recorder on or off, and
           outlier windows share the trace's time base (both start at the
-          post-fill clock reset) for {!Qs_obs.Metrics.attribute_spikes}. *)
-  generator : Qs_workload.Generator.t option;
-      (** pre-generated operation streams (cyclic, indexed by the worker's
-          completed-op count, so an aborted op is retried) in place of
-          on-line [Spec.pick] draws — the same logical op sequence
-          replayable across schemes. *)
+          post-fill clock reset) for {!Qs_obs.Metrics.attribute_spikes}.
+          Under an open-loop trace a request's latency runs from its
+          scheduled arrival, so queueing behind a reclamation pause lands
+          in the tail. *)
   faults : Scheduler.fault list;
       (** scheduler fault injection (e.g. [Stall_at]), installed after the
           fill and re-armed by the clock reset: fault times are measured
@@ -64,26 +70,36 @@ type setup = {
   sched_tweak : Scheduler.config -> Scheduler.config;
 }
 
+val make_setup :
+  target:'op Target.t ->
+  stream:'op Target.stream ->
+  scheme:Qs_smr.Scheme.kind ->
+  n_processes:int ->
+  'op setup
+(** 300k ticks, seed 1, no op limit, no cap, no delays, no churn, no
+    sampling; roosters are configured automatically for schemes that need
+    them. *)
+
 val default_setup :
   ds:Cset.kind ->
   scheme:Qs_smr.Scheme.kind ->
   n_processes:int ->
   workload:Qs_workload.Spec.t ->
-  setup
-(** 300k ticks, seed 1, no cap, no delays, no churn, no sampling; roosters
-    are configured automatically for schemes that need them. *)
+  Qs_workload.Spec.op setup
+(** {!make_setup} on the simulator instantiation of [ds], drawing
+    operations on-line from [workload]. *)
 
 type result = {
   ops_total : int;
   per_worker_ops : int array;
+  per_kind_ops : int array;  (** indexed by the stream's op-kind index *)
   throughput : float;  (** ops per million virtual ticks *)
   series : float array;  (** ops/Mtick per sample bucket (if sampling) *)
   failed_at : int option;  (** virtual time of memory exhaustion, if any *)
-  latencies : int array;  (** per-op latencies in ticks (if recording) *)
   violations : int;  (** use-after-free oracle hits — 0 for sound schemes *)
   report : Qs_ds.Set_intf.report;  (** captured before the teardown flush *)
-  rooster_fires : int;
   final_size : int;
+  contents : int list;  (** final contents, sorted (differentials) *)
   churn_events : int;
       (** completed leave/rejoin cycles across all workers (0 unless
           [churn] was set) *)
@@ -100,7 +116,7 @@ val base_smr_config : n_processes:int -> Qs_smr.Smr_intf.config
 val cset_of : Cset.kind -> (module Cset.S)
 (** The simulator instantiation of each structure. *)
 
-val run : setup -> result
+val run : 'op setup -> result
 (** Fill to half the key range from process 0 (shuffled), reset the virtual
     clocks, run all workers to [duration], then collect statistics and
     perform the teardown leak check. Raises [Failure] if a worker dies of

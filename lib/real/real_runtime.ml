@@ -70,7 +70,13 @@ let hook (_ : Qs_intf.Runtime_intf.hook) = ()
    consume coarse timestamps (Cadence, QSense) require roosters anyway. *)
 let coarse_clock = Atomic.make (now ())
 
-let publish_coarse t = Atomic.set coarse_clock t
+(* Several rooster sets can publish at once (a process-wide set plus one
+   per experiment, or [Roosters.start ~n] with n > 1): only ever raise. *)
+let rec publish_coarse t =
+  let cur = Atomic.get coarse_clock in
+  if t > cur && not (Atomic.compare_and_set coarse_clock cur t) then
+    publish_coarse t
+
 let now_coarse () = Atomic.get coarse_clock
 
 (* Trace emission. The sink lives in a plain atomic; with tracing off,

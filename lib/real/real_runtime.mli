@@ -14,7 +14,9 @@ val register_self : int -> unit
 val publish_coarse : int -> unit
 (** Refresh the coarse clock read by {!now_coarse}. Called by
     {!Qs_real.Roosters} on every rooster wake-up; tests may call it
-    directly. Monotonicity is the publisher's responsibility. *)
+    directly. A CAS-max: a publisher that read the time before a racing
+    peer published a later one leaves the later value in place, so the
+    coarse clock never moves backwards. *)
 
 val set_sink : Qs_intf.Runtime_intf.sink option -> unit
 (** Install (or remove) the global trace sink fed by {!emit}. With no sink

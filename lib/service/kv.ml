@@ -186,4 +186,29 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) = struct
       (Index.report t.index) t.shards
 
   let scheme_name t = Index.scheme_name t.index
+
+  let target ~n_shards : Qs_workload.Kv_spec.op Qs_harness.Target.t =
+    (module struct
+      type nonrec t = t
+      type nonrec ctx = ctx
+      type op = Qs_workload.Kv_spec.op
+
+      let create cfg = create ~n_shards cfg
+      let register = register
+      let unregister = unregister
+      let fill ctx k = ignore (put ctx k)
+
+      let apply ctx = function
+        | Qs_workload.Kv_spec.Get k -> ignore (get ctx k)
+        | Put k -> ignore (put ctx k)
+        | Del k -> ignore (del ctx k)
+        | Scan (lo, hi) -> ignore (scan ctx ~lo ~hi)
+
+      let flush = flush
+      let contents = to_list
+      let live_nodes = live_nodes
+      let report = report
+      let violations = violations
+      let outstanding = outstanding
+    end)
 end

@@ -61,4 +61,9 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) : sig
   val retired_count : t -> int
   val report : t -> Qs_ds.Set_intf.report
   val scheme_name : t -> string
+
+  val target : n_shards:int -> Qs_workload.Kv_spec.op Qs_harness.Target.t
+  (** The service as an experiment-driver target
+      ({!Qs_harness.Sim_exp}, {!Qs_harness.Real_exp}): each run creates a
+      fresh [n_shards]-shard service and replays a KV trace against it. *)
 end

@@ -1,187 +1,5 @@
-(** KV-service runner over real OCaml 5 domains — the service analogue of
-    {!Qs_harness.Real_exp}, for wall-clock Mops numbers and smoke tests.
-
-    Workers replay their pre-generated request streams cyclically, as
-    fast as the machine allows (closed loop: on the real runtime the
-    point is throughput; the simulator owns exact open-loop latency).
-    Per-run totals are also published to the process-global metrics
-    registry ({!Qs_obs.Registry.global}) under [service_*] names, so a
-    scrape after a run exports the service's view of itself. *)
-
-type churn = { generations : int; downtime_ms : int }
-
-type setup = {
-  scheme : Qs_smr.Scheme.kind;
-  n_domains : int;
-  gen : Qs_workload.Kv_gen.t;
-  duration_ms : int;
-  seed : int;
-  n_shards : int;
-  capacity : int option;
-  churn : churn option;
-  latency : Qs_obs.Latency.recorder option;
-      (** coarse-clock histograms (quantized to the rooster interval);
-          forces rooster domains on *)
-  smr_tweak : Qs_smr.Smr_intf.config -> Qs_smr.Smr_intf.config;
-}
-
-let default_setup ~scheme ~n_domains ~gen =
-  { scheme;
-    n_domains;
-    gen;
-    duration_ms = 200;
-    seed = 1;
-    n_shards = 4;
-    capacity = None;
-    churn = None;
-    latency = None;
-    smr_tweak = Fun.id }
-
-type result = {
-  ops_total : int;
-  per_kind_ops : int array;
-  throughput_mops : float;
-  violations : int;
-  failed : bool;
-  churn_events : int;
-  final_size : int;
-  report : Qs_ds.Set_intf.report;
-}
-
-let rooster_interval_ns = 2_000_000 (* 2 ms, as in {!Qs_harness.Real_exp} *)
-
 module K = Kv.Make (Qs_real.Real_runtime)
 
-let run (setup : setup) : result =
-  let n = setup.n_domains in
-  let spec = Qs_workload.Kv_gen.spec setup.gen in
-  let base = Qs_ds.Set_intf.default_config ~n_processes:n ~scheme:setup.scheme in
-  let cfg =
-    { base with
-      capacity = setup.capacity;
-      smr =
-        setup.smr_tweak
-          { base.smr with
-            rooster_interval = rooster_interval_ns;
-            epsilon = rooster_interval_ns / 2 } }
-  in
-  let service = K.create ~n_shards:setup.n_shards cfg in
-  let ctxs = Array.init n (fun pid -> K.register service ~pid) in
-  Qs_real.Real_runtime.register_self 0;
-  let keys = Array.of_list (Qs_workload.Kv_spec.initial_keys spec) in
-  Qs_util.Prng.shuffle (Qs_util.Prng.create ~seed:setup.seed) keys;
-  Array.iter (fun k -> ignore (K.put ctxs.(0) k)) keys;
-  let roosters =
-    if Qs_smr.Scheme.needs_roosters setup.scheme || setup.latency <> None then
-      Some (Qs_real.Roosters.start ~interval_ns:rooster_interval_ns ~n:1)
-    else None
-  in
-  let stop = Atomic.make false in
-  let failed = Atomic.make false in
-  let t0 = Unix.gettimeofday () in
-  let deadline = t0 +. (float_of_int setup.duration_ms /. 1000.) in
-  let kind_counts =
-    Array.init n (fun _ -> Array.make Qs_workload.Kv_spec.n_kinds 0)
-  in
-  (* Deadline checks are syscall-priced: poll every 64 requests, as in
-     {!Qs_harness.Real_exp}. *)
-  let worker_loop ~pid ~ctx ~until_ =
-    let counts = kind_counts.(pid) in
-    let count = ref 0 in
-    let running = ref true in
-    (try
-       while !running do
-         if !count land 63 = 0 then
-           if Atomic.get stop || Unix.gettimeofday () >= until_ then
-             running := false;
-         if !running then begin
-           try
-             let op = Qs_workload.Kv_gen.op setup.gen ~pid ~i:!count in
-             let ls =
-               match setup.latency with
-               | Some _ -> Qs_real.Real_runtime.now_coarse ()
-               | None -> 0
-             in
-             (match op with
-             | Qs_workload.Kv_spec.Get k -> ignore (K.get ctx k)
-             | Qs_workload.Kv_spec.Put k -> ignore (K.put ctx k)
-             | Qs_workload.Kv_spec.Del k -> ignore (K.del ctx k)
-             | Qs_workload.Kv_spec.Scan (lo, hi) ->
-               ignore (K.scan ctx ~lo ~hi));
-             (match setup.latency with
-             | Some r ->
-               Qs_obs.Latency.observe r ~pid
-                 ~kind:(Qs_workload.Kv_spec.kind_index op)
-                 ~start:ls
-                 ~dur:(Qs_real.Real_runtime.now_coarse () - ls)
-             | None -> ());
-             let k = Qs_workload.Kv_spec.kind_index op in
-             counts.(k) <- counts.(k) + 1;
-             incr count
-           with Qs_intf.Runtime_intf.Neutralized -> ()
-         end
-       done
-     with Qs_arena.Arena.Exhausted ->
-       Atomic.set failed true;
-       Atomic.set stop true);
-    !count
-  in
-  let churn_events = ref 0 in
-  let ops =
-    match setup.churn with
-    | None | Some { generations = 1; _ } ->
-      Qs_real.Domain_pool.run ~n (fun pid ->
-          worker_loop ~pid ~ctx:ctxs.(pid) ~until_:deadline)
-    | Some { generations; downtime_ms } ->
-      let generations = max 2 generations in
-      let slice_s =
-        float_of_int setup.duration_ms /. 1000. /. float_of_int generations
-      in
-      let per_slot =
-        Qs_real.Domain_pool.run_generations ~n ~generations
-          ~downtime_s:(float_of_int downtime_ms /. 1000.)
-          (fun ~pid ~gen ->
-            let ctx = if gen = 0 then ctxs.(pid) else K.register service ~pid in
-            let until_ =
-              Float.min deadline (t0 +. (slice_s *. float_of_int (gen + 1)))
-            in
-            let count = worker_loop ~pid ~ctx ~until_ in
-            if gen < generations - 1 then K.unregister ctx
-            else ctxs.(pid) <- ctx;
-            count)
-      in
-      Array.iter
-        (fun counts ->
-          churn_events := !churn_events + max 0 (List.length counts - 1))
-        per_slot;
-      Array.map (fun counts -> List.fold_left ( + ) 0 counts) per_slot
-  in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  (match roosters with Some r -> Qs_real.Roosters.stop r | None -> ());
-  let report = K.report service in
-  let ops_total = Array.fold_left ( + ) 0 ops in
-  let per_kind_ops = Array.make Qs_workload.Kv_spec.n_kinds 0 in
-  Array.iter
-    (Array.iteri (fun k c -> per_kind_ops.(k) <- per_kind_ops.(k) + c))
-    kind_counts;
-  let throughput_mops = float_of_int ops_total /. elapsed /. 1e6 in
-  (* Publish this run's view to the global registry (Prometheus/JSON
-     scrape after the run exports it). *)
-  let reg = Qs_obs.Registry.global in
-  for k = 0 to Qs_workload.Kv_spec.n_kinds - 1 do
-    Qs_obs.Registry.add
-      (Qs_obs.Registry.counter reg
-         ("service_requests_total_" ^ Qs_workload.Kv_spec.kind_name k))
-      per_kind_ops.(k)
-  done;
-  Qs_obs.Registry.set_gauge
-    (Qs_obs.Registry.gauge reg "service_throughput_ops_per_sec")
-    (int_of_float (float_of_int ops_total /. elapsed));
-  { ops_total;
-    per_kind_ops;
-    throughput_mops;
-    violations = K.violations service;
-    failed = Atomic.get failed;
-    churn_events = !churn_events;
-    final_size = K.size ctxs.(0);
-    report }
+let default_setup ~scheme ~n_domains ~gen =
+  Qs_harness.Real_exp.make_setup ~target:(K.target ~n_shards:4)
+    ~stream:(Qs_harness.Target.Trace gen) ~scheme ~n_domains

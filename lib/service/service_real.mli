@@ -1,41 +1,14 @@
-(** KV-service runner over real OCaml 5 domains: wall-clock Mops, with
-    per-run totals published to {!Qs_obs.Registry.global} under
-    [service_*] metric names. *)
+(** The KV service on real OCaml 5 domains: the instantiation shared with
+    callers (bench pins and tests drive the same one), and the default
+    {!Qs_harness.Real_exp} setup that replays a {!Qs_workload.Kv_gen}
+    trace against it, closed loop, for wall-clock Mops numbers. *)
 
 module K : module type of Kv.Make (Qs_real.Real_runtime)
-(** The service instantiated on the real runtime (shared with callers so
-    bench pins and tests drive the same instantiation). *)
-
-type churn = { generations : int; downtime_ms : int }
-
-type setup = {
-  scheme : Qs_smr.Scheme.kind;
-  n_domains : int;
-  gen : Qs_workload.Kv_gen.t;
-  duration_ms : int;
-  seed : int;
-  n_shards : int;
-  capacity : int option;
-  churn : churn option;
-  latency : Qs_obs.Latency.recorder option;
-  smr_tweak : Qs_smr.Smr_intf.config -> Qs_smr.Smr_intf.config;
-}
 
 val default_setup :
   scheme:Qs_smr.Scheme.kind ->
   n_domains:int ->
   gen:Qs_workload.Kv_gen.t ->
-  setup
-
-type result = {
-  ops_total : int;
-  per_kind_ops : int array;
-  throughput_mops : float;
-  violations : int;
-  failed : bool;
-  churn_events : int;
-  final_size : int;
-  report : Qs_ds.Set_intf.report;
-}
-
-val run : setup -> result
+  Qs_workload.Kv_spec.op Qs_harness.Real_exp.setup
+(** A 4-shard service driven by [gen]; otherwise
+    {!Qs_harness.Real_exp.make_setup}'s defaults. *)

@@ -1,226 +1,5 @@
-(** KV-service experiment runner over the deterministic simulator — the
-    service analogue of {!Qs_harness.Sim_exp}.
-
-    Workers replay a pre-generated {!Qs_workload.Kv_gen} trace against a
-    sharded {!Kv} service. Arrivals are open-loop: request [i] of a
-    stream is due at a fixed virtual time, a worker that falls behind
-    does not stretch the schedule, and a request's latency is measured
-    from its *scheduled arrival* to completion — so queueing delay
-    behind a reclamation pause lands in the tail percentiles, which is
-    precisely how QSBR's blocking and QSense's fallback dwell become
-    visible p999 spikes. (Specs with [base_gap = 0] degrade to
-    closed-loop service-time measurement.)
-
-    Latency is recorded via meta-level clock reads
-    ([Scheduler.clock_of]), so schedules are byte-identical with the
-    recorder on or off. *)
-
-open Qs_sim
-
-type churn = { every_ops : int; downtime : int }
-
-type setup = {
-  scheme : Qs_smr.Scheme.kind;
-  n_processes : int;
-  gen : Qs_workload.Kv_gen.t;
-      (** pre-generated request streams + open-loop arrival times *)
-  duration : int;
-  ops_limit : int option;
-      (** stop each worker after this many completed requests (with a
-          [duration] comfortably past the end): every scheme then executes
-          the identical logical trace, so final contents are comparable —
-          the differential-test mode. [None] = duration-bounded. *)
-  seed : int;
-  n_shards : int;
-  capacity : int option;
-  churn : churn option;
-      (** handler churn: every [every_ops] completed requests, each worker
-          with pid > 0 unregisters from every structure, sits out
-          [downtime] ticks, and re-registers under the same pid *)
-  latency : Qs_obs.Latency.recorder option;
-  faults : Scheduler.fault list;
-  sink : Qs_intf.Runtime_intf.sink option;
-  smr_tweak : Qs_smr.Smr_intf.config -> Qs_smr.Smr_intf.config;
-  sched_tweak : Scheduler.config -> Scheduler.config;
-}
+module K = Kv.Make (Qs_sim.Sim_runtime)
 
 let default_setup ~scheme ~n_processes ~gen =
-  { scheme;
-    n_processes;
-    gen;
-    duration = 300_000;
-    ops_limit = None;
-    seed = 1;
-    n_shards = 4;
-    capacity = None;
-    churn = None;
-    latency = None;
-    faults = [];
-    sink = None;
-    smr_tweak = Fun.id;
-    sched_tweak = Fun.id }
-
-type result = {
-  ops_total : int;
-  per_worker_ops : int array;
-  per_kind_ops : int array;  (** indexed by {!Qs_workload.Kv_spec.kind_index} *)
-  throughput : float;  (** requests per million virtual ticks *)
-  failed_at : int option;
-  violations : int;
-  report : Qs_ds.Set_intf.report;
-  rooster_fires : int;
-  final_size : int;  (** authoritative table contents *)
-  index_size : int;
-  contents : int list;  (** final table contents, sorted (differentials) *)
-  churn_events : int;
-  leak_check : [ `Ok | `Leaked of int | `Skipped ];
-}
-
-module K = Kv.Make (Sim_runtime)
-
-let run (setup : setup) : result =
-  let n = setup.n_processes in
-  let spec = Qs_workload.Kv_gen.spec setup.gen in
-  let sched_cfg =
-    setup.sched_tweak
-      { (Scheduler.default_config ~n_cores:n ~seed:setup.seed) with
-        rooster_interval =
-          (if Qs_smr.Scheme.needs_roosters setup.scheme then
-             Some Qs_harness.Sim_exp.default_rooster_interval
-           else None);
-        rooster_oversleep = Qs_harness.Sim_exp.default_epsilon / 2 }
-  in
-  let sched = Scheduler.create sched_cfg in
-  let cfg =
-    { Qs_ds.Set_intf.scheme = setup.scheme;
-      smr =
-        setup.smr_tweak
-          (Qs_harness.Sim_exp.base_smr_config ~n_processes:n);
-      capacity = setup.capacity;
-      debug_checks = true }
-  in
-  let service = K.create ~n_shards:setup.n_shards cfg in
-  let ctxs = Array.init n (fun pid -> K.register service ~pid) in
-  (* Pre-fill every tenant's key space to half from a single process. *)
-  Scheduler.exec sched ~pid:0 (fun () ->
-      let keys = Array.of_list (Qs_workload.Kv_spec.initial_keys spec) in
-      Qs_util.Prng.shuffle (Qs_util.Prng.create ~seed:setup.seed) keys;
-      Array.iter (fun k -> ignore (K.put ctxs.(0) k)) keys);
-  if setup.faults <> [] then Scheduler.inject sched setup.faults;
-  Scheduler.reset_clocks sched;
-  Scheduler.set_sink sched setup.sink;
-  let per_worker_ops = Array.make n 0 in
-  let per_kind_ops = Array.make Qs_workload.Kv_spec.n_kinds 0 in
-  let failed_at = ref None in
-  let churn_counts = Array.make n 0 in
-  let open_loop =
-    (* arrival times are all 0 when the spec has no inter-arrival gap *)
-    Qs_workload.Kv_gen.arrival setup.gen ~pid:0 ~i:1 > 0
-  in
-  for pid = 0 to n - 1 do
-    Scheduler.spawn sched ~pid (fun () ->
-        let ctx = ref ctxs.(pid) in
-        let next_churn =
-          match setup.churn with
-          | Some c when pid > 0 && c.every_ops > 0 ->
-            ref (c.every_ops + (pid * c.every_ops / n))
-          | _ -> ref max_int
-        in
-        let rec loop () =
-          (match setup.churn with
-          | Some c when per_worker_ops.(pid) >= !next_churn ->
-            K.unregister !ctx;
-            Sim_runtime.sleep_until (Sim_runtime.now () + c.downtime);
-            ctx := K.register service ~pid;
-            ctxs.(pid) <- !ctx;
-            churn_counts.(pid) <- churn_counts.(pid) + 1;
-            next_churn := !next_churn + c.every_ops
-          | _ -> ());
-          let i = per_worker_ops.(pid) in
-          let due = Qs_workload.Kv_gen.arrival setup.gen ~pid ~i in
-          let t = Sim_runtime.now () in
-          (* open loop: wait for the request's scheduled arrival (an early
-             worker idles; a late one starts immediately and the backlog
-             shows up as queueing latency) *)
-          let t =
-            if open_loop && due > t then begin
-              Sim_runtime.sleep_until due;
-              due
-            end
-            else t
-          in
-          let under_limit =
-            match setup.ops_limit with None -> true | Some l -> i < l
-          in
-          if t < setup.duration && under_limit && !failed_at = None then begin
-            let start = if open_loop then due else t in
-            Scheduler.set_neutralizable sched ~pid true;
-            (try
-               (* index streams by *completed* requests so a neutralized
-                  request is retried, keeping the trace identical across
-                  schemes *)
-               let op = Qs_workload.Kv_gen.op setup.gen ~pid ~i in
-               (match op with
-               | Qs_workload.Kv_spec.Get k -> ignore (K.get !ctx k)
-               | Qs_workload.Kv_spec.Put k -> ignore (K.put !ctx k)
-               | Qs_workload.Kv_spec.Del k -> ignore (K.del !ctx k)
-               | Qs_workload.Kv_spec.Scan (lo, hi) ->
-                 ignore (K.scan !ctx ~lo ~hi));
-               (match setup.latency with
-               | Some r ->
-                 (* meta-level clock read: recording cannot shift the
-                    seeded schedule *)
-                 let t1 = Scheduler.clock_of sched ~pid in
-                 Qs_obs.Latency.observe r ~pid
-                   ~kind:(Qs_workload.Kv_spec.kind_index op)
-                   ~start ~dur:(t1 - start)
-               | None -> ());
-               per_worker_ops.(pid) <- i + 1;
-               per_kind_ops.(Qs_workload.Kv_spec.kind_index op) <-
-                 per_kind_ops.(Qs_workload.Kv_spec.kind_index op) + 1
-             with
-            | Qs_arena.Arena.Exhausted ->
-              if !failed_at = None then failed_at := Some t
-            | Qs_intf.Runtime_intf.Neutralized -> ());
-            Scheduler.set_neutralizable sched ~pid false;
-            loop ()
-          end
-        in
-        loop ())
-  done;
-  Scheduler.run_all sched;
-  (match Scheduler.failures sched with
-  | [] -> ()
-  | (pid, e) :: _ ->
-    failwith
-      (Printf.sprintf "service worker %d died: %s" pid (Printexc.to_string e)));
-  let ops_total = Array.fold_left ( + ) 0 per_worker_ops in
-  let throughput = float_of_int ops_total /. float_of_int setup.duration *. 1e6 in
-  let violations = K.violations service in
-  let final_size, index_size, contents =
-    Scheduler.exec sched ~pid:0 (fun () ->
-        (K.size ctxs.(0), K.index_size ctxs.(0), K.to_list ctxs.(0)))
-  in
-  let report = K.report service in
-  let leak_check =
-    if setup.scheme = Qs_smr.Scheme.None_ then `Skipped
-    else begin
-      Scheduler.exec sched ~pid:0 (fun () -> Array.iter K.flush ctxs);
-      let live = Scheduler.exec sched ~pid:0 (fun () -> K.live_nodes ctxs.(0)) in
-      let leaked = K.outstanding service - live in
-      if leaked = 0 then `Ok else `Leaked leaked
-    end
-  in
-  { ops_total;
-    per_worker_ops;
-    per_kind_ops;
-    throughput;
-    failed_at = !failed_at;
-    violations;
-    report;
-    rooster_fires = Scheduler.rooster_fires sched;
-    final_size;
-    index_size;
-    contents;
-    churn_events = Array.fold_left ( + ) 0 churn_counts;
-    leak_check }
+  Qs_harness.Sim_exp.make_setup ~target:(K.target ~n_shards:4)
+    ~stream:(Qs_harness.Target.Trace gen) ~scheme ~n_processes

@@ -1,55 +1,15 @@
-(** KV-service experiment runner over the deterministic simulator.
-
-    Workers replay a pre-generated {!Qs_workload.Kv_gen} trace against a
-    sharded {!Kv} service with open-loop arrivals: a request's latency
-    runs from its scheduled arrival to completion, so queueing behind a
-    reclamation pause lands in the tail percentiles. Latency recording
-    uses meta-level clock reads and never perturbs the schedule. *)
+(** The KV service on the deterministic simulator: the instantiation
+    shared with tests, and the default {!Qs_harness.Sim_exp} setup that
+    replays a {!Qs_workload.Kv_gen} trace against it (open-loop arrivals:
+    a request's latency runs from its scheduled arrival to completion, so
+    queueing behind a reclamation pause lands in the tail percentiles). *)
 
 module K : module type of Kv.Make (Qs_sim.Sim_runtime)
-(** The service instantiated on the simulator (shared with tests). *)
-
-type churn = { every_ops : int; downtime : int }
-
-type setup = {
-  scheme : Qs_smr.Scheme.kind;
-  n_processes : int;
-  gen : Qs_workload.Kv_gen.t;
-  duration : int;
-  ops_limit : int option;
-      (** stop each worker after this many completed requests — every
-          scheme executes the identical logical trace (differentials) *)
-  seed : int;
-  n_shards : int;
-  capacity : int option;
-  churn : churn option;
-  latency : Qs_obs.Latency.recorder option;
-  faults : Qs_sim.Scheduler.fault list;
-  sink : Qs_intf.Runtime_intf.sink option;
-  smr_tweak : Qs_smr.Smr_intf.config -> Qs_smr.Smr_intf.config;
-  sched_tweak : Qs_sim.Scheduler.config -> Qs_sim.Scheduler.config;
-}
 
 val default_setup :
   scheme:Qs_smr.Scheme.kind ->
   n_processes:int ->
   gen:Qs_workload.Kv_gen.t ->
-  setup
-
-type result = {
-  ops_total : int;
-  per_worker_ops : int array;
-  per_kind_ops : int array;
-  throughput : float;  (** requests per million virtual ticks *)
-  failed_at : int option;
-  violations : int;
-  report : Qs_ds.Set_intf.report;
-  rooster_fires : int;
-  final_size : int;
-  index_size : int;
-  contents : int list;  (** final authoritative contents (differentials) *)
-  churn_events : int;
-  leak_check : [ `Ok | `Leaked of int | `Skipped ];
-}
-
-val run : setup -> result
+  Qs_workload.Kv_spec.op Qs_harness.Sim_exp.setup
+(** A 4-shard service driven by [gen]; otherwise
+    {!Qs_harness.Sim_exp.make_setup}'s defaults. *)

@@ -6,7 +6,7 @@
    e.g. per-operation latency comparisons, where the i-th operation must be
    identical across runs. A generator materialises those streams up front. *)
 
-type t = { streams : Spec.op array array }
+type t = { spec : Spec.t; streams : Spec.op array array }
 
 let make spec ~n_processes ~ops_per_process ~seed =
   if n_processes <= 0 then invalid_arg "Generator.make: n_processes";
@@ -19,7 +19,9 @@ let make spec ~n_processes ~ops_per_process ~seed =
         let prng = Qs_util.Prng.split master in
         Array.init ops_per_process (fun _ -> Spec.pick prng spec))
   in
-  { streams }
+  { spec; streams }
+
+let spec t = t.spec
 
 let stream t ~pid = t.streams.(pid)
 

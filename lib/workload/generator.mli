@@ -7,6 +7,8 @@ type t
 
 val make : Spec.t -> n_processes:int -> ops_per_process:int -> seed:int -> t
 
+val spec : t -> Spec.t
+
 val stream : t -> pid:int -> Spec.op array
 (** Process [pid]'s operations, in execution order. *)
 

@@ -390,7 +390,7 @@ let test_sim_generator_replay () =
       {
         (sim_setup ~latency:rec_ ~sink:None ()) with
         Sim_exp.scheme;
-        generator = Some gen;
+        stream = Target.Pregen gen;
       }
     in
     let r = Sim_exp.run setup in

@@ -45,6 +45,15 @@ let test_roosters () =
   Unix.sleepf 0.02;
   Alcotest.(check int) "stopped" w_final (Qs_real.Roosters.wakeups r)
 
+let test_coarse_clock_monotone () =
+  (* a publisher that read the time before a racing peer published a
+     later value must not pull the clock back *)
+  let c = R.now_coarse () in
+  R.publish_coarse (c + 1);
+  R.publish_coarse c;
+  Alcotest.(check bool) "coarse clock never moves backwards" true
+    (R.now_coarse () >= c + 1)
+
 let smoke ~scheme ~ds () =
   let r =
     Qs_harness.Real_exp.run
@@ -57,8 +66,10 @@ let smoke ~scheme ~ds () =
   Alcotest.(check bool) "not failed" false r.failed;
   Alcotest.(check bool) "made progress" true (r.ops_total > 100);
   Alcotest.(check int) "no double frees" 0 r.report.double_frees;
-  if scheme <> Qs_smr.Scheme.None_ then
-    Alcotest.(check bool) "reclaimed memory" true (r.report.smr.frees > 0)
+  if scheme <> Qs_smr.Scheme.None_ then begin
+    Alcotest.(check bool) "reclaimed memory" true (r.report.smr.frees > 0);
+    Alcotest.(check bool) "teardown leak check" true (r.leak_check = `Ok)
+  end
 
 let test_roosters_stop_latency () =
   (* stop must return well under one interval: the rooster loop sleeps in
@@ -118,7 +129,9 @@ let test_real_churn () =
         r.report.double_frees;
       Alcotest.(check bool) (name ^ ": churn actually happened") true
         (r.churn_events > 0);
-      Alcotest.(check bool) (name ^ ": made progress") true (r.ops_total > 100))
+      Alcotest.(check bool) (name ^ ": made progress") true (r.ops_total > 100);
+      Alcotest.(check bool) (name ^ ": teardown leak check") true
+        (r.leak_check = `Ok))
     [ Qs_smr.Scheme.Qsense; Qs_smr.Scheme.Cadence ]
 
 let test_real_stall_tolerance () =
@@ -140,6 +153,8 @@ let suite =
   [ Alcotest.test_case "primitives" `Quick test_primitives;
     Alcotest.test_case "self registration" `Quick test_self_registration;
     Alcotest.test_case "rooster domains" `Quick test_roosters;
+    Alcotest.test_case "coarse clock never moves backwards" `Quick
+      test_coarse_clock_monotone;
     Alcotest.test_case "list/qsense on domains" `Quick
       (smoke ~scheme:Qs_smr.Scheme.Qsense ~ds:Qs_harness.Cset.List);
     Alcotest.test_case "list/hp on domains" `Quick

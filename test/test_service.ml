@@ -19,6 +19,7 @@
 module Ksp = Qs_workload.Kv_spec
 module Kg = Qs_workload.Kv_gen
 module Sv = Qs_service.Service_sim
+module Sim_exp = Qs_harness.Sim_exp
 
 let mix = { Ksp.get_pct = 50; put_pct = 25; del_pct = 15; scan_pct = 10 }
 
@@ -110,24 +111,23 @@ let test_service_differential () =
       (fun scheme ->
         let setup =
           { (Sv.default_setup ~scheme ~n_processes:1 ~gen) with
-            Sv.duration = max_int / 2;
-            ops_limit = Some 3_000;
-            n_shards = 4 }
+            Sim_exp.duration = max_int / 2;
+            ops_limit = Some 3_000 }
         in
-        let r = Sv.run setup in
+        let r = Sim_exp.run setup in
         Alcotest.(check int)
           (Qs_smr.Scheme.to_string scheme ^ " violations")
-          0 r.Sv.violations;
+          0 r.Sim_exp.violations;
         Alcotest.(check int)
           (Qs_smr.Scheme.to_string scheme ^ " completed the trace")
-          3_000 r.Sv.ops_total;
-        (match r.Sv.leak_check with
+          3_000 r.Sim_exp.ops_total;
+        (match r.Sim_exp.leak_check with
         | `Ok | `Skipped -> ()
         | `Leaked n ->
           Alcotest.failf "%s leaked %d nodes"
             (Qs_smr.Scheme.to_string scheme)
             n);
-        (scheme, r.Sv.contents))
+        (scheme, r.Sim_exp.contents))
       schemes
   in
   match runs with
@@ -155,17 +155,17 @@ let test_service_churn_smoke () =
          times inside the duration budget. *)
       let setup =
         { (Sv.default_setup ~scheme ~n_processes:4 ~gen) with
-          Sv.duration = 150_000;
-          churn = Some { Sv.every_ops = 20; downtime = 1_000 } }
+          Sim_exp.duration = 150_000;
+          churn = Some { Sim_exp.every_ops = 20; downtime = 1_000 } }
       in
-      let r = Sv.run setup in
+      let r = Sim_exp.run setup in
       let name = Qs_smr.Scheme.to_string scheme in
-      Alcotest.(check int) (name ^ " violations") 0 r.Sv.violations;
-      Alcotest.(check bool) (name ^ " made progress") true (r.Sv.ops_total > 0);
+      Alcotest.(check int) (name ^ " violations") 0 r.Sim_exp.violations;
+      Alcotest.(check bool) (name ^ " made progress") true (r.Sim_exp.ops_total > 0);
       Alcotest.(check bool)
         (name ^ " churned under live traffic")
-        true (r.Sv.churn_events > 0);
-      match r.Sv.leak_check with
+        true (r.Sim_exp.churn_events > 0);
+      match r.Sim_exp.leak_check with
       | `Ok | `Skipped -> ()
       | `Leaked n -> Alcotest.failf "%s leaked %d nodes" name n)
     schemes
