@@ -270,15 +270,16 @@ module Micro = struct
   module Cad_bag = Qs_smr.Cadence.Make (R) (FN)
 
   (* Replica of the seed's list-based Cadence hot path (retire + scan),
-     kept as the before/after baseline for the JSON report. *)
+     kept as the before/after baseline for the JSON report. It carries the
+     seed's hazard-pointer array too: node-pointer slots, a list snapshot
+     (one cons per non-dummy slot) and [List.memq] membership. *)
   module Cad_list = struct
-    module Hp = Qs_smr.Hp_array.Make (R) (FN)
-
     type wrapper = { node : fake; ts : int }
 
     type t = {
       cfg : Qs_smr.Smr_intf.config;
-      hp : Hp.t;
+      slots : fake R.plain array array;
+      dummy : fake;
       free : fake -> unit;
       mutable rlist : wrapper list;
       mutable rcount : int;
@@ -287,24 +288,34 @@ module Micro = struct
 
     let create cfg ~dummy ~free =
       { cfg;
-        hp = Hp.create ~n:cfg.Qs_smr.Smr_intf.n_processes ~k:cfg.hp_per_process ~dummy;
+        slots =
+          Array.init cfg.Qs_smr.Smr_intf.n_processes (fun _ ->
+              Array.init cfg.hp_per_process (fun _ -> R.plain_padded dummy));
+        dummy;
         free;
         rlist = [];
         rcount = 0;
         retires = 0 }
 
-    let assign_hp t ~pid ~slot n = Hp.assign t.hp ~pid ~slot n
+    let assign_hp t ~pid ~slot n = R.write t.slots.(pid).(slot) n
+
+    let snapshot t =
+      Array.fold_left
+        (Array.fold_left (fun acc slot ->
+             let n = R.read slot in
+             if n != t.dummy then n :: acc else acc))
+        [] t.slots
 
     let is_old_enough t ~now w =
       now - w.ts >= t.cfg.Qs_smr.Smr_intf.rooster_interval + t.cfg.epsilon
 
     let scan t =
       let now = R.now () in
-      let snapshot = Hp.snapshot t.hp in
+      let snapshot = snapshot t in
       let kept =
         List.filter
           (fun w ->
-            if is_old_enough t ~now w && not (Hp.protects snapshot w.node) then begin
+            if is_old_enough t ~now w && not (List.memq w.node snapshot) then begin
               t.free w.node;
               false
             end
@@ -492,6 +503,9 @@ module E2e = struct
     violations : int;
     failed : bool;
     churn_events : int;
+    leak_ok : bool;
+        (* teardown leak check: outstanding nodes = live nodes after every
+           context flushed ([`Skipped] counts as ok) *)
   }
 
   let schemes =
@@ -545,7 +559,9 @@ module E2e = struct
       reuse_ratio;
       violations = r.violations;
       failed = r.failed;
-      churn_events = r.churn_events }
+      churn_events = r.churn_events;
+      leak_ok =
+        (match r.leak_check with `Ok | `Skipped -> true | `Leaked _ -> false) }
 
   let run_matrix ~quick ~churn schemes =
     List.concat_map
@@ -574,7 +590,7 @@ module E2e = struct
     let tbl =
       Qs_util.Table.create
         [ "structure"; "scheme"; "domains"; "Mops/s"; "retired peak";
-          "reuse ratio"; "violations"; "failed"; "churn" ]
+          "reuse ratio"; "violations"; "failed"; "churn"; "leak ok" ]
     in
     List.iter
       (fun r ->
@@ -587,7 +603,8 @@ module E2e = struct
             Printf.sprintf "%.3f" r.reuse_ratio;
             string_of_int r.violations;
             string_of_bool r.failed;
-            string_of_int r.churn_events ])
+            string_of_int r.churn_events;
+            string_of_bool r.leak_ok ])
       results;
     Qs_util.Table.print tbl;
     print_newline ()
@@ -597,8 +614,14 @@ end
 
 (* The same real-domain run (Cadence list, 2 domains, 50% updates) without
    and with an observer installed by [observe]: the off run is the product
-   configuration, the on run bounds what the observer costs. Returns both
-   throughputs in Mops/s. *)
+   configuration, the on run bounds what the observer costs. One pair of
+   short runs is noise (a single pair has read -25% overhead), so the A/B
+   is [ab_pairs] interleaved off/on pairs, every other pair running its on
+   run first so a drift in the host's speed favours neither side. Returns
+   the median off and on throughputs in Mops/s and the median per-pair
+   overhead [100 (1 - on/off)] in percent. *)
+let ab_pairs = 5
+
 let real_ab ~quick observe =
   let base =
     { (Qs_harness.Real_exp.default_setup ~ds:Qs_harness.Cset.List
@@ -607,9 +630,20 @@ let real_ab ~quick observe =
       duration_ms = (if quick then 50 else 200);
       seed = 42 }
   in
-  let off = Qs_harness.Real_exp.run base in
-  let on = Qs_harness.Real_exp.run (observe base) in
-  (off.throughput_mops, on.throughput_mops)
+  let mops s = (Qs_harness.Real_exp.run s).throughput_mops in
+  let pairs =
+    List.init ab_pairs (fun i ->
+        if i land 1 = 0 then
+          let off = mops base in
+          (off, mops (observe base))
+        else
+          let on = mops (observe base) in
+          (mops base, on))
+  in
+  let median xs = List.nth (List.sort compare xs) (List.length xs / 2) in
+  let overhead (off, on) = if off <= 0. then 0. else 100. *. (1. -. (on /. off)) in
+  (median (List.map fst pairs), median (List.map snd pairs),
+   median (List.map overhead pairs))
 
 (* One latency-observatory row on the simulator: [setup] (seed 23) run with
    a latency recorder and a tracer attached, and its p999 spikes
@@ -810,7 +844,7 @@ module Observatory = struct
 
   let throughput_ab ~quick =
     let tracer = Qs_obs.Tracer.create ~n_processes:2 ~capacity:(1 lsl 16) () in
-    let off, on =
+    let off, on, _ =
       real_ab ~quick (fun s ->
           { s with sink = Some (Qs_obs.Tracer.sink tracer) })
     in
@@ -831,13 +865,13 @@ module Observatory = struct
       [ "minor words/event (tracer enabled)";
         Printf.sprintf "%.4f" o.alloc_enabled ];
     Qs_util.Table.add_row tbl
-      [ "real cadence/list Mops/s (sink off)";
+      [ "real cadence/list Mops/s (sink off, median)";
         Printf.sprintf "%.2f" o.mops_sink_off ];
     Qs_util.Table.add_row tbl
-      [ "real cadence/list Mops/s (sink on)";
+      [ "real cadence/list Mops/s (sink on, median)";
         Printf.sprintf "%.2f" o.mops_sink_on ];
     Qs_util.Table.add_row tbl
-      [ "events recorded (sink on)"; string_of_int o.events_on ];
+      [ "events recorded (sink on runs)"; string_of_int o.events_on ];
     Qs_util.Table.print tbl;
     print_newline ()
 
@@ -866,7 +900,8 @@ end
    - the overhead A/B the zero-cost claim rests on: minor words
      allocated per recorded op (must be exactly 0 — [Latency.observe]
      is integer arithmetic over flat arrays) and real-runtime
-     throughput with the recorder off vs on. *)
+     throughput with the recorder off vs on, as the median over
+     interleaved off/on pairs ({!real_ab}). *)
 module Latency_obs = struct
   module L = Qs_obs.Latency
   module M = Qs_obs.Metrics
@@ -982,26 +1017,25 @@ module Latency_obs = struct
     let rec_ =
       L.recorder ~n_processes:2 ~n_kinds:Qs_workload.Spec.n_kinds ()
     in
-    let off, on = real_ab ~quick (fun s -> { s with latency = Some rec_ }) in
-    (off, on, L.count (L.merged rec_))
+    let off, on, overhead =
+      real_ab ~quick (fun s -> { s with latency = Some rec_ })
+    in
+    (off, on, overhead, L.count (L.merged rec_))
 
   type report = {
     lat_rows : row list;
     alloc_words : float;
     mops_off : float;
     mops_on : float;
+    overhead_pct : float; (* median over the A/B pairs *)
     recorded_on : int;
   }
-
-  let overhead_pct rep =
-    if rep.mops_off <= 0. then 0.
-    else 100. *. (1. -. (rep.mops_on /. rep.mops_off))
 
   let run ~quick =
     let lat_rows = rows ~quick in
     let alloc_words = alloc_words_per_record () in
-    let mops_off, mops_on, recorded_on = throughput_ab ~quick in
-    { lat_rows; alloc_words; mops_off; mops_on; recorded_on }
+    let mops_off, mops_on, overhead_pct, recorded_on = throughput_ab ~quick in
+    { lat_rows; alloc_words; mops_off; mops_on; overhead_pct; recorded_on }
 
   let print_tables rep =
     let tbl =
@@ -1030,15 +1064,16 @@ module Latency_obs = struct
     Qs_util.Table.add_row ov
       [ "minor words/recorded op"; Printf.sprintf "%.4f" rep.alloc_words ];
     Qs_util.Table.add_row ov
-      [ "real cadence/list Mops/s (recorder off)";
+      [ "real cadence/list Mops/s (recorder off, median)";
         Printf.sprintf "%.2f" rep.mops_off ];
     Qs_util.Table.add_row ov
-      [ "real cadence/list Mops/s (recorder on)";
+      [ "real cadence/list Mops/s (recorder on, median)";
         Printf.sprintf "%.2f" rep.mops_on ];
     Qs_util.Table.add_row ov
-      [ "recorder overhead (%)"; Printf.sprintf "%.1f" (overhead_pct rep) ];
+      [ "recorder overhead (%, median pair)";
+        Printf.sprintf "%.1f" rep.overhead_pct ];
     Qs_util.Table.add_row ov
-      [ "ops recorded (on run)"; string_of_int rep.recorded_on ];
+      [ "ops recorded (on runs)"; string_of_int rep.recorded_on ];
     Qs_util.Table.print ov;
     print_newline ()
 end
@@ -1341,11 +1376,12 @@ let emit_json ~path ~quick ~churn ~retire_scan ~bag_alloc_words ~e2e ~rivals
         Printf.fprintf oc
           "    {\"ds\": \"%s\", \"scheme\": \"%s\", \"domains\": %d, \
            \"throughput_mops\": %.4f, \"retired_peak\": %d, \"reuse_ratio\": \
-           %.4f, \"violations\": %d, \"failed\": %b, \"churn_events\": %d}%s\n"
+           %.4f, \"violations\": %d, \"failed\": %b, \"churn_events\": %d, \
+           \"leak_ok\": %b}%s\n"
           (Qs_harness.Cset.kind_to_string r.ds)
           (Qs_smr.Scheme.to_string r.scheme)
           r.n_domains r.throughput_mops r.retired_peak r.reuse_ratio
-          r.violations r.failed r.churn_events
+          r.violations r.failed r.churn_events r.leak_ok
           (if i = n - 1 then "" else ","))
       rows
   in
@@ -1378,7 +1414,7 @@ let emit_json ~path ~quick ~churn ~retire_scan ~bag_alloc_words ~e2e ~rivals
     Printf.fprintf oc "    \"real_mops_recorder_on\": %.4f,\n"
       rep.Latency_obs.mops_on;
     Printf.fprintf oc "    \"overhead_pct\": %.2f,\n"
-      (Latency_obs.overhead_pct rep);
+      rep.Latency_obs.overhead_pct;
     Printf.fprintf oc "    \"ops_recorded_on\": %d,\n"
       rep.Latency_obs.recorded_on;
     Printf.fprintf oc "    \"rows\": [\n";

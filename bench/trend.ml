@@ -102,7 +102,9 @@ let summarize results =
     List.length
       (List.filter
          (fun r ->
-           num r "violations" <> Some 0. || bool_ r "failed" <> Some false)
+           num r "violations" <> Some 0.
+           || bool_ r "failed" <> Some false
+           || bool_ r "leak_ok" <> Some true)
          rows)
   in
   let e2e = arr results "e2e" and rivals = arr results "rivals" in
@@ -263,9 +265,9 @@ let check ~results_path ~history_path =
   pin "trace.alloc_words_per_event_disabled" (num summary "trace_alloc_disabled");
   pin "trace.alloc_words_per_event_enabled" (num summary "trace_alloc_enabled");
   if num summary "e2e_bad" <> Some 0. then
-    fail "e2e rows with violations/failures";
+    fail "e2e rows with violations/failures/leaks";
   if num summary "rival_bad" <> Some 0. then
-    fail "rival rows with violations/failures";
+    fail "rival rows with violations/failures/leaks";
   (match Json.member "latency" summary with
   | Some (Json.Obj _ as lat) ->
     pin "latency.alloc_words_per_record" (num lat "alloc_words");

@@ -59,6 +59,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     pid : int;
     mutable lsrc : node Bag.Ts.source;
     mutable rlist : node Bag.Ts.t;
+    publish : slot:int -> node -> unit; (* over this pid's slot row *)
     scan_set : Hp.scan_set;
     mutable retires : int;
     mutable until_scan : int;
@@ -80,15 +81,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   let name = "cadence"
 
   let create ?free_bulk (cfg : Smr_intf.config) ~dummy ~free =
-    let free_bulk =
-      match free_bulk with
-      | Some f -> f
-      | None ->
-        fun data count ->
-          for i = 0 to count - 1 do
-            free data.(i)
-          done
-    in
+    let free_bulk = Smr_intf.default_free_bulk ?free_bulk free in
     { cfg;
       scan_threshold_eff = Smr_intf.effective_scan_threshold cfg;
       hp = Hp.create ~n:cfg.n_processes ~k:cfg.hp_per_process ~dummy;
@@ -112,6 +105,8 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
         pid;
         lsrc;
         rlist = Bag.Ts.create lsrc;
+        (* No memory barrier — the point of the scheme. *)
+        publish = Hp.publisher t.hp ~pid ~fenced:false;
         scan_set = Hp.scan_set t.hp;
         retires = 0;
         until_scan = t.scan_threshold_eff;
@@ -145,8 +140,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   let manage_state _ = ()
 
-  (* No memory barrier here — the point of the scheme. *)
-  let assign_hp h ~slot n = Hp.assign h.owner.hp ~pid:h.pid ~slot n
+  let assign_hp h = h.publish
 
   let clear_hps h = Hp.clear h.owner.hp ~pid:h.pid
 

@@ -107,6 +107,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     mutable epoch_advances : int;
     mutable neutralizations : int;
     mutable retired_peak : int;
+    publish : slot:int -> node -> unit; (* polls this pid's poisoned flag *)
     free_bag : node array -> int -> unit;
     flush_bag : node array -> int -> unit;
   }
@@ -114,15 +115,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   let name = "debra-plus"
 
   let create ?free_bulk (cfg : Smr_intf.config) ~dummy ~free =
-    let free_bulk =
-      match free_bulk with
-      | Some f -> f
-      | None ->
-        fun data count ->
-          for i = 0 to count - 1 do
-            free data.(i)
-          done
-    in
+    let free_bulk = Smr_intf.default_free_bulk ?free_bulk free in
     { cfg;
       free;
       free_bulk;
@@ -140,8 +133,24 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   let limbo_source t = Bag.source ~capacity:t.cfg.bag_capacity t.dummy
 
+  (* Cooperative restart: acknowledge the demand by dropping our own pin
+     (the unpin the neutralizer could not safely do for us — see
+     [neutralize_laggards]), then abort the operation. We hold references
+     protected by that pin, but we are abandoning them all right here, and
+     the restarted operation re-pins before touching anything. On
+     preemptive runtimes the neutralizer already CASed the pin away, so
+     skip the store — on the simulator it would also be a schedule point,
+     and this check must stay schedule-neutral. *)
+  let ack_restart h =
+    if not R.neutralize_is_preemptive then begin
+      h.pinned <- -1;
+      R.set h.owner.locals.(h.pid) (-1)
+    end;
+    raise Qs_intf.Runtime_intf.Neutralized
+
   let register t ~pid =
     let lsrc = limbo_source t in
+    let poisoned = t.poisoned.(pid) in
     let rec h =
       { owner = t;
         pid;
@@ -156,6 +165,10 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
         epoch_advances = 0;
         neutralizations = 0;
         retired_peak = 0;
+        (* no hazard pointers: publication is repurposed as the cooperative
+           delivery point — a plain atomic read, no schedule point *)
+        publish =
+          (fun ~slot:_ _ -> if Stdlib.Atomic.get poisoned then ack_restart h);
         free_bag =
           (fun data count ->
             t.free_bulk data count;
@@ -302,27 +315,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     h.pinned <- -1;
     R.set h.owner.locals.(h.pid) (-1)
 
-  (* Cooperative restart: acknowledge the demand by dropping our own pin
-     (the unpin the neutralizer could not safely do for us — see
-     [neutralize_laggards]), then abort the operation. We hold references
-     protected by that pin, but we are abandoning them all right here, and
-     the restarted operation re-pins before touching anything. On
-     preemptive runtimes the neutralizer already CASed the pin away, so
-     skip the store — on the simulator it would also be a schedule point,
-     and this check must stay schedule-neutral. *)
-  let ack_restart h =
-    if not R.neutralize_is_preemptive then begin
-      h.pinned <- -1;
-      R.set h.owner.locals.(h.pid) (-1)
-    end;
-    raise Qs_intf.Runtime_intf.Neutralized
-
-  (* DEBRA+ needs no hazard pointers; the slot write is repurposed as the
-     cooperative delivery point — the check every traversal step performs
-     before trusting a new reference. Plain atomic read, no allocation, no
-     schedule point. *)
-  let assign_hp h ~slot:_ _ =
-    if Stdlib.Atomic.get h.owner.poisoned.(h.pid) then ack_restart h
+  let assign_hp h = h.publish
 
   let total_limbo h = Bag.Triple.total h.limbo
 

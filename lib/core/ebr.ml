@@ -64,15 +64,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   let name = "ebr"
 
   let create ?free_bulk (cfg : Smr_intf.config) ~dummy ~free =
-    let free_bulk =
-      match free_bulk with
-      | Some f -> f
-      | None ->
-        fun data count ->
-          for i = 0 to count - 1 do
-            free data.(i)
-          done
-    in
+    let free_bulk = Smr_intf.default_free_bulk ?free_bulk free in
     { cfg;
       free;
       free_bulk;
@@ -178,7 +170,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   (* Leave the critical region (called where HP schemes drop protection). *)
   let clear_hps h = R.set h.owner.locals.(h.pid) (-1)
 
-  let assign_hp _ ~slot:_ _ = ()
+  let assign_hp _ = Smr_intf.no_publish
 
   let total_limbo h = Bag.Triple.total h.limbo
 

@@ -59,6 +59,7 @@ struct
     pid : int;
     mutable lsrc : node Bag.source;
     mutable rlist : node Bag.t;
+    publish : slot:int -> node -> unit; (* over this pid's slot row *)
     scan_set : Hp.scan_set;
     mutable retires : int;
     mutable frees : int;
@@ -74,15 +75,7 @@ struct
   let name = P.scheme_name
 
   let create ?free_bulk (cfg : Smr_intf.config) ~dummy ~free =
-    let free_bulk =
-      match free_bulk with
-      | Some f -> f
-      | None ->
-        fun data count ->
-          for i = 0 to count - 1 do
-            free data.(i)
-          done
-    in
+    let free_bulk = Smr_intf.default_free_bulk ?free_bulk free in
     { cfg;
       scan_threshold_eff = Smr_intf.effective_scan_threshold cfg;
       hp = Hp.create ~n:cfg.n_processes ~k:cfg.hp_per_process ~dummy;
@@ -105,6 +98,7 @@ struct
         pid;
         lsrc;
         rlist = Bag.create lsrc;
+        publish = Hp.publisher t.hp ~pid ~fenced:P.fenced;
         scan_set = Hp.scan_set t.hp;
         retires = 0;
         frees = 0;
@@ -133,9 +127,7 @@ struct
 
   let manage_state _ = ()
 
-  let assign_hp h ~slot n =
-    Hp.assign h.owner.hp ~pid:h.pid ~slot n;
-    if P.fenced then R.fence ()
+  let assign_hp h = h.publish
 
   let clear_hps h = Hp.clear h.owner.hp ~pid:h.pid
 

@@ -1,59 +1,51 @@
 (* The shared hazard-pointer array: N processes × K single-writer
    multi-reader slots, used by classic HP, Cadence and QSense. Slots are TSO
-   *plain* cells — publishing is a cheap store whose visibility is bounded
-   only by fences (classic HP) or rooster context switches (Cadence/QSense).
-   Unused slots hold the data structure's dummy node rather than an option,
-   keeping the traversal path allocation-free. Each process's row of slots
-   is padded against false sharing: rows are written by different processes
-   on every traversal step.
+   *plain* integer cells holding the protected node's id
+   ({!Smr_intf.NODE.id}) — publishing is a cheap store whose visibility is
+   bounded only by fences (classic HP) or rooster context switches
+   (Cadence/QSense). An empty slot holds the dummy node's id. Each
+   process's row of slots is padded against false sharing: rows are
+   written by different processes on every traversal step.
 
-   Scans use a reusable {e scan set}: the N×K slots are snapshotted into a
-   per-handle open-addressing hash set of node ids ({!Smr_intf.NODE.id},
-   {!Qs_util.Int_set}), giving expected-O(1) membership per retired node
-   and zero allocation per scan — Michael's original hash-set scan, which
-   together with the adaptive scan threshold makes scan work amortised O(1)
-   per retire. The seed's list-based [snapshot]/[protects] ([List.memq],
-   O(N·K) per node, one cons per non-dummy slot) survives as the model for
-   the hash-set property test and for the seed-Cadence replica in the
-   retire/scan micro. *)
+   Publication goes through a per-handle {!publisher}, built once at
+   [register] over the owner's row: one closure call and one plain integer
+   store ({!Qs_intf.Runtime_intf.RUNTIME.write_int}, no write barrier on
+   the real runtime) per traversed node.
+
+   Scans use a reusable {e scan set}: the N×K slot values are added to a
+   per-handle open-addressing hash set of node ids ({!Qs_util.Int_set}),
+   giving expected-O(1) membership per retired node and zero allocation per
+   scan — Michael's original hash-set scan, which together with the
+   adaptive scan threshold makes scan work amortised O(1) per retire. *)
 
 module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
-  type t = { slots : N.t R.plain array array; dummy : N.t; k : int }
+  type t = { slots : int R.plain array array; empty : int; k : int }
 
   let create ~n ~k ~dummy =
-    { slots = Array.init n (fun _ -> Array.init k (fun _ -> R.plain_padded dummy));
-      dummy;
+    let empty = N.id dummy in
+    { slots = Array.init n (fun _ -> Array.init k (fun _ -> R.plain_padded empty));
+      empty;
       k }
 
-  let assign t ~pid ~slot n = R.write t.slots.(pid).(slot) n
+  (* Process [pid]'s publisher. The closure holds its row, [R.write_int]
+     and [N.id] directly instead of reaching them through the functor
+     arguments per call. [~fenced]: classic HP's barrier after the store. *)
+  let publisher t ~pid ~fenced =
+    let row = t.slots.(pid) and write_int = R.write_int and id = N.id in
+    if fenced then
+      let fence = R.fence in
+      fun ~slot n ->
+        write_int row.(slot) (id n);
+        fence ()
+    else fun ~slot n -> write_int row.(slot) (id n)
 
   let clear t ~pid =
     let row = t.slots.(pid) in
     for i = 0 to t.k - 1 do
-      R.write row.(i) t.dummy
+      R.write_int row.(i) t.empty
     done
 
-  (* --- reference implementation (test model, seed replica) ---------------- *)
-
-  (* Read every slot of every process; the result is the set of nodes that
-     must not be reclaimed. Reads are racy by design: a hazard pointer whose
-     store is still sitting in its writer's store buffer is missed — that is
-     the hole deferred reclamation closes. *)
-  let snapshot t =
-    let acc = ref [] in
-    Array.iter
-      (fun row ->
-        Array.iter
-          (fun slot ->
-            let n = R.read slot in
-            if n != t.dummy then acc := n :: !acc)
-          row)
-      t.slots;
-    !acc
-
-  let protects snapshot n = List.memq n snapshot
-
-  (* --- the scan set: reusable id hash set (production path) --------------- *)
+  (* --- the scan set: reusable id hash set ---------------------------------- *)
 
   type scan_set = Qs_util.Int_set.t
 
@@ -61,17 +53,19 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
      never triggers a rehash, so the scan path performs zero allocation. *)
   let scan_set t = Qs_util.Int_set.create ~capacity:(Array.length t.slots * t.k) ()
 
-  (* Snapshot all N×K slots into the hash set (same raciness as
-     {!snapshot}). [Int_set.reset] is an O(1) generation bump, so the whole
-     snapshot is O(N·K) with no allocation. *)
+  (* Snapshot all N×K slots into the hash set. Reads are racy by design: a
+     hazard pointer whose store is still sitting in its writer's store
+     buffer is missed — that is the hole deferred reclamation closes.
+     [Int_set.reset] is an O(1) generation bump, so the whole snapshot is
+     O(N·K) with no allocation. *)
   let snapshot_into t s =
     Qs_util.Int_set.reset s;
-    let dummy = t.dummy in
+    let empty = t.empty in
     for pid = 0 to Array.length t.slots - 1 do
       let row = t.slots.(pid) in
       for i = 0 to t.k - 1 do
-        let n = R.read row.(i) in
-        if n != dummy then Qs_util.Int_set.add s (N.id n)
+        let id = R.read row.(i) in
+        if id <> empty then Qs_util.Int_set.add s id
       done
     done
 

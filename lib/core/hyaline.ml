@@ -105,15 +105,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   let name = "hyaline"
 
   let create ?free_bulk (cfg : Smr_intf.config) ~dummy ~free =
-    let free_bulk =
-      match free_bulk with
-      | Some f -> f
-      | None ->
-        fun data count ->
-          for i = 0 to count - 1 do
-            free data.(i)
-          done
-    in
+    let free_bulk = Smr_intf.default_free_bulk ?free_bulk free in
     { cfg;
       free;
       free_bulk;
@@ -205,7 +197,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
 
   (* Hyaline protects by session membership, not per-pointer publication;
      rule 2 is a no-op. *)
-  let assign_hp _ ~slot:_ _ = ()
+  let assign_hp _ = Smr_intf.no_publish
 
   (* -- sealing (the insertion protocol) ------------------------------ *)
 

@@ -24,7 +24,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   let unregister _ = ()
 
   let manage_state _ = ()
-  let assign_hp _ ~slot:_ _ = ()
+  let assign_hp _ = Smr_intf.no_publish
   let clear_hps _ = ()
   let retire h n =
     h.retires <- h.retires + 1;

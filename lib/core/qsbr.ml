@@ -72,15 +72,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
   let name = "qsbr"
 
   let create ?free_bulk (cfg : Smr_intf.config) ~dummy ~free =
-    let free_bulk =
-      match free_bulk with
-      | Some f -> f
-      | None ->
-        fun data count ->
-          for i = 0 to count - 1 do
-            free data.(i)
-          done
-    in
+    let free_bulk = Smr_intf.default_free_bulk ?free_bulk free in
     { cfg;
       free;
       free_bulk;
@@ -198,7 +190,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_intf.NODE) = struct
     h.ops <- h.ops + 1;
     if h.ops mod h.owner.cfg.quiescence_threshold = 0 then quiescent_state h
 
-  let assign_hp _ ~slot:_ _ = ()
+  let assign_hp _ = Smr_intf.no_publish
   let clear_hps _ = ()
   let total_limbo h = Bag.Triple.total h.limbo
 

@@ -118,6 +118,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
            it. Checked at points with no runtime effect between check and
            list use, so on the simulator the handoff is race-free. *)
     eviction_on : bool; (* cfg.eviction_timeout <> None, precomputed *)
+    publish : slot:int -> node -> unit; (* over this pid's slot row *)
     scan_set : Hp.scan_set;
     mutable call_count : int;
     mutable fnl_count : int;
@@ -145,15 +146,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
   let name = P.scheme_name
 
   let create ?free_bulk (cfg : Smr_intf.config) ~dummy ~free =
-    let free_bulk =
-      match free_bulk with
-      | Some f -> f
-      | None ->
-        fun data count ->
-          for i = 0 to count - 1 do
-            free data.(i)
-          done
-    in
+    let free_bulk = Smr_intf.default_free_bulk ?free_bulk free in
     let c =
       if cfg.switch_threshold > 0 then cfg.switch_threshold
       else Smr_intf.legal_switch_threshold cfg
@@ -188,6 +181,15 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
 
   let limbo_source t = Bag.Ts.source ~capacity:t.cfg.bag_capacity t.dummy
 
+  (* Hazard pointers are maintained in BOTH modes, without fences — this is
+     what makes the fast path fast and the switch sound (see §4.1). The
+     [false] branch is the rejected naive design, kept for demonstration. *)
+  let publisher t ~pid =
+    if P.always_publish then Hp.publisher t.hp ~pid ~fenced:false
+    else
+      let publish = Hp.publisher t.hp ~pid ~fenced:true in
+      fun ~slot n -> if R.get t.fallback_flag = 1 then publish ~slot n
+
   let register t ~pid =
     let lsrc = limbo_source t in
     let age = t.cfg.rooster_interval + t.cfg.epsilon in
@@ -199,6 +201,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
         adopted = Bag.Ts.create lsrc;
         seized = Atomic.make false;
         eviction_on = t.cfg.eviction_timeout <> None;
+        publish = publisher t ~pid;
         scan_set = Hp.scan_set t.hp;
         call_count = 0;
         fnl_count = 0;
@@ -246,15 +249,7 @@ module Make_gen (P : PUBLICATION) (R : Qs_intf.Runtime_intf.RUNTIME) (N : Smr_in
 
   let total_limbo h = Bag.Ts.Triple.total h.limbo
 
-  (* Hazard pointers are maintained in BOTH modes, without fences — this is
-     what makes the fast path fast and the switch sound (see §4.1). The
-     [false] branch is the rejected naive design, kept for demonstration. *)
-  let assign_hp h ~slot n =
-    if P.always_publish then Hp.assign h.owner.hp ~pid:h.pid ~slot n
-    else if R.get h.owner.fallback_flag = 1 then begin
-      Hp.assign h.owner.hp ~pid:h.pid ~slot n;
-      R.fence ()
-    end
+  let assign_hp h = h.publish
   let clear_hps h = Hp.clear h.owner.hp ~pid:h.pid
 
   (* Cadence-style filtered reclamation of one limbo list: free entries

@@ -20,15 +20,14 @@ module type NODE = sig
   val id : t -> int
   (** A stable identity for the node, constant for the node's whole
       lifetime (across arena reuse too — it identifies the {e object}, not
-      the allocation). Used by the hazard-pointer membership set
-      ({!Hp_array}) in place of physical-equality list scans: a snapshot
-      becomes an [int] hash set with expected-O(1) membership and zero
-      per-scan allocation. Collisions are {e safe} — a node sharing an id
-      with a protected node is merely kept one scan longer — but hurt
-      reclamation latency, so ids should be unique in practice (the data
-      structures stamp each node from a per-structure counter at creation).
-      Physical equality on OCaml objects cannot be hashed or ordered
-      directly (the GC moves objects), hence this explicit identity. *)
+      the allocation). Hazard-pointer slots hold it ({!Hp_array}), so a
+      snapshot is an [int] hash set with expected-O(1) membership and zero
+      per-scan allocation. A node sharing an id with a protected node is
+      merely kept one scan longer, but no node may share the [dummy]'s id:
+      an empty slot holds it, so such a node could never be protected.
+      The data structures stamp each node from a per-structure counter at
+      creation. Physical equality on OCaml objects cannot be hashed or
+      ordered (the GC moves objects), hence this explicit identity. *)
 end
 
 type config = {
@@ -187,6 +186,16 @@ let zero_stats =
     scan_threshold_eff = 0;
     mode = Fast }
 
+(** {!S.create}'s [free_bulk], defaulting to a loop over [free]. *)
+let default_free_bulk ?free_bulk free =
+  match free_bulk with
+  | Some f -> f
+  | None -> fun data count -> for i = 0 to count - 1 do free data.(i) done
+
+(** The {!S.assign_hp} publisher of every scheme without per-pointer
+    publication (no reclamation, epochs, sessions). *)
+let no_publish ~slot:_ _ = ()
+
 module type S = sig
   type node
   type t
@@ -231,6 +240,8 @@ module type S = sig
 
   val manage_state : handle -> unit
   val assign_hp : handle -> slot:int -> node -> unit
+  (** [assign_hp h] is [h]'s publisher, built once at {!register}. *)
+
   val clear_hps : handle -> unit
   (** Reset all of the caller's hazard pointers to the dummy (rule 2's
       "release reference" at the end of an operation). *)

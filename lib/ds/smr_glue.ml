@@ -32,7 +32,7 @@ module Make (R : Qs_intf.Runtime_intf.RUNTIME) (N : Qs_smr.Smr_intf.NODE) = stru
         (fun ~pid ->
           let h = S.register t ~pid in
           { manage_state = (fun () -> S.manage_state h);
-            assign_hp = (fun ~slot n -> S.assign_hp h ~slot n);
+            assign_hp = S.assign_hp h;
             clear_hps = (fun () -> S.clear_hps h);
             retire = (fun n -> S.retire h n);
             unregister = (fun () -> S.unregister h);

@@ -231,6 +231,11 @@ module type RUNTIME = sig
   (** Buffered store: enqueued in the issuer's store buffer; other processes
       cannot observe it until the buffer drains. *)
 
+  val write_int : int plain -> int -> unit
+  (** {!write} on an integer cell (hazard-pointer slots hold node ids).
+      Real runtime: one plain store, no [caml_modify] write barrier.
+      Simulator: the same effect as {!write}, so schedules do not move. *)
+
   (** {1 Ordering, time, identity} *)
 
   val fence : unit -> unit

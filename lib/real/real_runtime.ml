@@ -21,6 +21,7 @@ type 'a plain = { mutable v : 'a }
 let plain v = { v }
 let read c = c.v
 let write c x = c.v <- x
+let write_int (c : int plain) (x : int) = c.v <- x (* one [mov], no barrier *)
 
 (* Best-effort false-sharing isolation. OCaml gives no control over object
    placement, but minor-heap allocation is sequential: surrounding a small

@@ -19,6 +19,7 @@ let cas c expected desired = Scheduler.op_cas c expected desired
 let fetch_and_add c n = Scheduler.op_faa c n
 let read c = Scheduler.op_read c
 let write c v = Scheduler.op_write c v
+let write_int c v = Scheduler.op_write c v
 let fence () = Scheduler.op_fence ()
 let now () = Scheduler.op_now ()
 

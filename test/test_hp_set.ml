@@ -1,14 +1,16 @@
 (* Properties of the hot-path machinery introduced for allocation-free
-   retire/scan:
+   publication, retire and scan:
 
-   - the production hash scan set ([Hp_array.snapshot_into] /
-     [protects_set]) agrees with the list-based [snapshot]/[protects]
-     model on random hazard-pointer assignments;
+   - the production id scan set ([Hp_array.snapshot_into] /
+     [protects_set]) agrees with a list-based model of the slots on random
+     hazard-pointer assignments and clears;
    - [Qs_util.Int_set] agrees with a [Set.Make(Int)] model under random
      add/mem/reset sequences, including negative keys and growth;
    - retire is allocation-free in steady state for all five schemes, and
      so is the scan membership path (snapshot + probes), both measured
-     with [Gc.minor_words] on the real runtime after a warm-up. *)
+     with [Gc.minor_words] on the real runtime after a warm-up;
+   - publication and clearing through [Smr_glue] handles allocate exactly
+     nothing, for every scheme. *)
 
 module R = Qs_real.Real_runtime
 
@@ -22,7 +24,38 @@ end
 
 module Hp = Qs_smr.Hp_array.Make (R) (N)
 
-(* --- membership set vs list reference ------------------------------------ *)
+(* --- membership set vs list model ----------------------------------------- *)
+
+(* The seed's hazard-pointer array, kept as the model: node-valued slots,
+   a snapshot that conses every non-dummy slot, and [List.memq]
+   membership by physical identity. *)
+module Model = struct
+  type t = { slots : fake array array; dummy : fake }
+
+  let create ~n ~k ~dummy = { slots = Array.init n (fun _ -> Array.make k dummy); dummy }
+  let assign t ~pid ~slot n = t.slots.(pid).(slot) <- n
+  let clear t ~pid = Array.fill t.slots.(pid) 0 (Array.length t.slots.(pid)) t.dummy
+
+  let snapshot t =
+    Array.fold_left
+      (Array.fold_left (fun acc n -> if n != t.dummy then n :: acc else acc))
+      [] t.slots
+
+  let protects snapshot n = List.memq n snapshot
+end
+
+let publishers hp ~n = Array.init n (fun pid -> Hp.publisher hp ~pid ~fenced:false)
+
+(* Every pool node (and the dummy) gets the same verdict from the id scan
+   set as from the list model. *)
+let agrees hp model pool =
+  let reference = Model.snapshot model in
+  let set = Hp.scan_set hp in
+  Hp.snapshot_into hp set;
+  Array.for_all
+    (fun node -> Hp.protects_set set node = Model.protects reference node)
+    pool
+  && not (Hp.protects_set set model.Model.dummy)
 
 (* A random HP table: n x k slots, each either the dummy or a pool node
    (duplicates across slots allowed). The hash set and the list model are
@@ -40,20 +73,64 @@ let prop_scan_set_matches_reference =
       let dummy = { fid = -42; freed = 0 } in
       let pool = Array.init 32 (fun i -> { fid = 100 + i; freed = 0 }) in
       let hp = Hp.create ~n ~k ~dummy in
+      let model = Model.create ~n ~k ~dummy in
+      let pub = publishers hp ~n in
       List.iteri
         (fun i choice ->
           let pid = i mod n and slot = i / n mod k in
           let node = if choice < 0 then dummy else pool.(choice) in
-          Hp.assign hp ~pid ~slot node)
+          pub.(pid) ~slot node;
+          Model.assign model ~pid ~slot node)
         assignments;
-      let reference = Hp.snapshot hp in
-      let set = Hp.scan_set hp in
-      Hp.snapshot_into hp set;
-      Array.for_all
-        (fun node ->
-          Hp.protects_set set node = Hp.protects reference node)
-        pool
-      && not (Hp.protects_set set dummy))
+      agrees hp model pool)
+
+(* Random interleavings of publications and row clears: the scan set
+   agrees with the model after every step, and right after a clear no
+   slot of the cleared row protects anything. *)
+let prop_assign_clear_matches_model =
+  let cmd n k =
+    QCheck.Gen.(
+      frequency
+        [ (5,
+           map3
+             (fun pid slot c -> `Assign (pid, slot, c))
+             (int_bound (n - 1)) (int_bound (k - 1)) (int_range (-1) 15));
+          (1, map (fun pid -> `Clear pid) (int_bound (n - 1))) ])
+  in
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 1 6) (int_range 1 6) >>= fun (n, k) ->
+      map (fun cmds -> (n, k, cmds)) (list_size (int_range 0 60) (cmd n k)))
+  in
+  QCheck.Test.make ~name:"scan set tracks the model under assign/clear"
+    ~count:300 (QCheck.make gen)
+    (fun (n, k, cmds) ->
+      let dummy = { fid = -42; freed = 0 } in
+      let pool = Array.init 16 (fun i -> { fid = 100 + i; freed = 0 }) in
+      let hp = Hp.create ~n ~k ~dummy in
+      let model = Model.create ~n ~k ~dummy in
+      let pub = publishers hp ~n in
+      List.for_all
+        (fun c ->
+          match c with
+          | `Assign (pid, slot, choice) ->
+            let node = if choice < 0 then dummy else pool.(choice) in
+            pub.(pid) ~slot node;
+            Model.assign model ~pid ~slot node;
+            agrees hp model pool
+          | `Clear pid ->
+            let row = Array.copy model.Model.slots.(pid) in
+            Hp.clear hp ~pid;
+            Model.clear model ~pid;
+            let others = Model.snapshot model in
+            let set = Hp.scan_set hp in
+            Hp.snapshot_into hp set;
+            agrees hp model pool
+            && Array.for_all
+                 (fun node ->
+                   Model.protects others node || not (Hp.protects_set set node))
+                 row)
+        cmds)
 
 (* Clearing a process's row removes its nodes from the next snapshot. *)
 let prop_clear_removes_from_set =
@@ -64,9 +141,10 @@ let prop_clear_removes_from_set =
       let dummy = { fid = -42; freed = 0 } in
       let hp = Hp.create ~n ~k ~dummy in
       let node = { fid = 7; freed = 0 } in
+      let pub = publishers hp ~n in
       for pid = 0 to n - 1 do
         for slot = 0 to k - 1 do
-          Hp.assign hp ~pid ~slot node
+          pub.(pid) ~slot node
         done
       done;
       for pid = 0 to n - 1 do
@@ -210,9 +288,10 @@ let test_scan_set_alloc_free () =
   let dummy = { fid = -1; freed = 0 } in
   let hp = Hp.create ~n ~k ~dummy in
   let nodes = Array.init (n * k) (fun i -> { fid = i; freed = 0 }) in
+  let pub = publishers hp ~n in
   for pid = 0 to n - 1 do
     for slot = 0 to k - 1 do
-      Hp.assign hp ~pid ~slot nodes.((pid * k) + slot)
+      pub.(pid) ~slot nodes.((pid * k) + slot)
     done
   done;
   let set = Hp.scan_set hp in
@@ -238,13 +317,51 @@ let test_scan_set_alloc_free () =
     true (words < 1_000.);
   Alcotest.(check int) "every probe hits" (rounds + 1) (!hits / (n * k))
 
+(* --- publication through Smr_glue ----------------------------------------- *)
+
+module Glue = Qs_ds.Smr_glue.Make (R) (N)
+
+(* The path every data structure takes per traversed node: the handle's
+   [assign_hp] field is the scheme's own publisher, so publishing (and the
+   end-of-operation clear) must allocate exactly nothing — no closure
+   built per call, no boxed argument, for every scheme. Thresholds are out
+   of reach: nothing here retires. *)
+let test_glue_publication_alloc_free () =
+  let dummy = { fid = -1; freed = 0 } in
+  let node = { fid = 5; freed = 0 } in
+  let calls = 100_000 in
+  List.iter
+    (fun kind ->
+      let ops =
+        Glue.make kind alloc_cfg ~dummy ~free:(fun n -> n.freed <- n.freed + 1)
+      in
+      let h = ops.Glue.register ~pid:0 in
+      let round () =
+        for i = 1 to calls do
+          h.Glue.assign_hp ~slot:(i land 1) node;
+          h.Glue.clear_hps ()
+        done
+      in
+      round () (* warm-up *);
+      let before = Gc.minor_words () in
+      round ();
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "%s: minor words over %d assign_hp + clear_hps"
+           (Qs_smr.Scheme.to_string kind) calls)
+        0. words)
+    Qs_smr.Scheme.all
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_scan_set_matches_reference;
+    QCheck_alcotest.to_alcotest prop_assign_clear_matches_model;
     QCheck_alcotest.to_alcotest prop_clear_removes_from_set;
     QCheck_alcotest.to_alcotest prop_int_set_matches_model;
     QCheck_alcotest.to_alcotest prop_int_set_reset_forgets;
     Alcotest.test_case "retire is allocation-free in steady state" `Quick
       test_retire_alloc_free;
     Alcotest.test_case "scan membership path is allocation-free" `Quick
-      test_scan_set_alloc_free
+      test_scan_set_alloc_free;
+    Alcotest.test_case "publication through Smr_glue is allocation-free"
+      `Quick test_glue_publication_alloc_free
   ]
